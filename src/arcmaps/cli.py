@@ -52,12 +52,6 @@ def _is_prime(n: int) -> bool:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=DEFAULT_CAP, help="element cap for closures")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized internals (all current algorithms are deterministic)",
-    )
     common.add_argument("--workers", type=int, default=1, help="worker processes for independent work items")
     common.add_argument("--format", choices=("text", "records", "dot"), default="text")
     common.add_argument("--out", help="write output to this path instead of stdout")

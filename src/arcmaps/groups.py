@@ -3,12 +3,14 @@
 Groups at desk scale (order up to a configurable cap, default 200 000) are
 materialized as explicit element lists via breadth-first closure of the
 generators.  Membership, centralizers, normality, cosets and quotients are
-then direct scans.  All objects are immutable after construction, so any
-operation may run concurrently with any other.
+then direct scans.  All objects are immutable after construction apart
+from caches whose writes are idempotent, so any operation may run
+concurrently with any other.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -68,6 +70,7 @@ class PermGroup:
         "_index",
         "_orders",
         "_involutions",
+        "_columns",
         "_abelian",
     )
 
@@ -92,6 +95,7 @@ class PermGroup:
         self._index = {g.images: i for i, g in enumerate(self.elements)}
         self._orders: Optional[tuple[int, ...]] = None
         self._involutions: Optional[tuple[int, ...]] = None
+        self._columns: dict[int, array] = {}
         self._abelian: Optional[bool] = None
 
     @property
@@ -113,6 +117,28 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
+
+    # -- right-multiplication columns ------------------------------------------------
+
+    def _column(self, i: int) -> array:
+        """Right-multiplication column of element i: entry a is the index of
+        elements[a] * elements[i], or -1 until _mul_index first computes it.
+        A column costs 4 * order bytes, so only the generation test asks for one."""
+        col = self._columns.get(i)
+        if col is None:
+            col = self._columns.setdefault(i, array("i", [-1]) * len(self.elements))
+        return col
+
+    def _mul_index(self, a: int, i: int) -> int:
+        """Index of elements[a] * elements[i], kept in column i if it exists."""
+        col = self._columns.get(i)
+        if col is not None and col[a] >= 0:
+            return col[a]
+        gi = self.elements[i].images
+        b = self._index[tuple(gi[x] for x in self.elements[a].images)]
+        if col is not None:
+            col[a] = b
+        return b
 
     # -- cached element statistics -------------------------------------------------
 

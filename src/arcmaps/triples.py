@@ -7,6 +7,14 @@ whose second entry is an involution.  Existence searches are exhaustive and
 deterministic: candidates are scanned in element-enumeration order, symmetric
 candidates are pruned, and the generation test exits early once a closure
 passes half the group order (a proper subgroup has index at least 2).
+
+The generation test runs on element indices.  Each product it needs is read
+from the group's right-multiplication column of the generator, an array of
+|G| indices (4|G| bytes) that is allocated the first time that element
+enters a test and filled one entry at a time as the closures reach it.  The
+candidate loops reuse the same few elements over and over, so later tests
+mostly read entries earlier tests computed; the commute test of regular
+triples compares two such entries instead of multiplying.
 """
 
 from __future__ import annotations
@@ -49,23 +57,32 @@ class GeneratingTriple:
 
 
 def generates(G: PermGroup, elems: Sequence[Permutation]) -> bool:
-    """Closure test <elems> == G with early exit above |G| / 2."""
-    half = G.order // 2
+    """Closure test <elems> == G with early exit above |G| / 2.
+
+    Every input must be a member of G.  The closure runs on element indices,
+    reading products from G's right-multiplication columns.
+    """
     index = G._index
-    seen = {G.identity.images}
-    frontier = [G.identity.images]
-    gen_images = [e.images for e in elems]
+    try:
+        gens = [index[e.images] for e in elems]
+    except KeyError:
+        raise NotASubgroupError("element outside the ambient group") from None
+    steps = [(i, G._column(i)) for i in gens]
+    half = G.order // 2
+    seen = bytearray(G.order)
+    seen[0] = 1
+    frontier = [0]
     count = 1
     while frontier:
         new_frontier = []
         for a in frontier:
-            for g in gen_images:
-                prod = tuple(g[x] for x in a)
-                if prod not in seen:
-                    if prod not in index:
-                        raise NotASubgroupError("element outside the ambient group")
-                    seen.add(prod)
-                    new_frontier.append(prod)
+            for i, col in steps:
+                b = col[a]
+                if b < 0:
+                    b = G._mul_index(a, i)
+                if not seen[b]:
+                    seen[b] = 1
+                    new_frontier.append(b)
                     count += 1
                     if count > half:
                         return True
@@ -147,7 +164,7 @@ def exhaustive_search_count(G: PermGroup, kind: str) -> tuple[Optional[tuple], i
                 examined += 1
                 if witness is not None:
                     continue
-                if kind == "regular" and (i == k or x * z != z * x):
+                if kind == "regular" and (i == k or G._mul_index(i, k) != G._mul_index(k, i)):
                     continue
                 if generates(G, [x, y, z]):
                     witness = (x, y, z)
@@ -162,7 +179,7 @@ def _find_regular(G) -> Optional[tuple]:
         x = elems[i]
         for k in inv[ii + 1 :]:
             z = elems[k]
-            if x * z != z * x:
+            if G._mul_index(i, k) != G._mul_index(k, i):
                 continue
             for j in inv:
                 y = elems[j]

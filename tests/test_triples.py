@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arcmaps.families import build_family
-from arcmaps.groups import NotASubgroupError
+from arcmaps.groups import NotASubgroupError, generate
 from arcmaps.perms import Permutation
 from arcmaps.products import direct_product
 from arcmaps.standard import (
@@ -63,6 +63,20 @@ def test_check_triple_rejects_non_members():
     G = symmetric_group(4)
     with pytest.raises(NotASubgroupError):
         check_triple(G, (P("(0 1)", 5), P("(1 2)", 5), P("(2 3)", 5)), "regular")
+
+
+@pytest.mark.parametrize(
+    "degree, gens, inputs",
+    [
+        (4, ["(0 1)", "(2 3)"], ["(0 1)", "(2 3)", "(0 2)"]),
+        (3, ["(0 1)"], ["(0 1)", "(1 2)"]),
+    ],
+)
+def test_generates_rejects_non_member_past_early_exit(degree, gens, inputs):
+    # the closure of the members alone already passes |G| / 2
+    G = generate(degree, [P(g, degree) for g in gens])
+    with pytest.raises(NotASubgroupError):
+        generates(G, [P(g, degree) for g in inputs])
 
 
 def test_generates_early_exit_matches_full_closure():
