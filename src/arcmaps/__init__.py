@@ -4,7 +4,6 @@ of square-free Euler characteristic, verified by exhaustive desk-scale search.""
 __version__ = "0.1.0"
 
 from .groups import (
-    Coset,
     DEFAULT_CAP,
     GroupTooLargeError,
     PermGroup,
@@ -24,7 +23,7 @@ from .maps import (
     is_multicycle,
     underlying_graph,
 )
-from .perms import Permutation, compose, order_of
+from .perms import Permutation, compose
 from .products import central_product, direct_product, semidirect_product, wreath_by_s2
 from .structure import (
     HypothesisReport,
@@ -47,7 +46,6 @@ from .triples import (
 )
 
 __all__ = [
-    "Coset",
     "DEFAULT_CAP",
     "FactoredInteger",
     "GeneratingTriple",
@@ -80,7 +78,6 @@ __all__ = [
     "is_squarefree",
     "isomorphic",
     "o_p",
-    "order_of",
     "quotient_behavior",
     "recognize",
     "satisfies_hypothesis",

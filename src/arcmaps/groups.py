@@ -3,9 +3,12 @@
 Groups at desk scale (order up to a configurable cap, default 200 000) are
 materialized as explicit element lists via breadth-first closure of the
 generators.  Membership, centralizers, normality, cosets and quotients are
-then direct scans.  All objects are immutable after construction apart
-from caches whose writes are idempotent, so any operation may run
-concurrently with any other.
+then direct scans.  `_close` is the one closure over image tuples: group
+construction, the greedy choice of generators (`greedy_generators`) and
+homomorphism extension (`extend_hom`, which closes the graph of the map)
+all run on it.  All objects are immutable after construction apart from
+caches whose writes are idempotent, so any operation may run concurrently
+with any other.
 """
 
 from __future__ import annotations
@@ -221,37 +224,22 @@ class PermGroup:
 
         Returns (labels, reps): labels[i] is the coset id of elements[i], and
         reps[c] is the element index of the first element found in coset c.
-        Computed by orbiting each unseen element under left multiplication by
-        the generators of H.
+        Each new representative r labels its whole coset {h * r : h in H}.
         """
         if not self.is_subgroup(H):
             raise NotASubgroupError("coset space requires a subgroup")
         labels = [-1] * self.order
         reps: list[int] = []
-        hgens = [h.images for h in H.generators]
         index = self._index
-        elems = self.elements
-        for i in range(self.order):
+        for i, g in enumerate(self.elements):
             if labels[i] != -1:
                 continue
             cid = len(reps)
             reps.append(i)
-            labels[i] = cid
-            stack = [i]
-            while stack:
-                j = stack.pop()
-                gj = elems[j].images
-                for h in hgens:
-                    # left multiplication: h * g
-                    k = index[tuple(gj[x] for x in h)]
-                    if labels[k] == -1:
-                        labels[k] = cid
-                        stack.append(k)
+            gi = g.images
+            for h in H.elements:
+                labels[index[tuple(gi[x] for x in h.images)]] = cid
         return labels, reps
-
-    def cosets(self, H: "PermGroup") -> list["Coset"]:
-        labels, reps = self.coset_labels(H)
-        return [Coset(H, self.elements[r]) for r in reps]
 
     # -- standard subgroup constructions ---------------------------------------------
 
@@ -345,30 +333,6 @@ class PermGroup:
 
 
 @dataclass(frozen=True)
-class Coset:
-    """A right coset Hg, held by its subgroup and a representative."""
-
-    subgroup: PermGroup
-    representative: Permutation
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Coset):
-            return NotImplemented
-        if self.subgroup is not other.subgroup and not self.subgroup.same_elements(
-            other.subgroup
-        ):
-            return False
-        return (self.representative * other.representative.inverse()) in self.subgroup
-
-    def __hash__(self) -> int:
-        # canonical form: minimal image tuple over the coset
-        return hash(min((h * self.representative).images for h in self.subgroup))
-
-    def members(self) -> list[Permutation]:
-        return [h * self.representative for h in self.subgroup]
-
-
-@dataclass(frozen=True)
 class QuotientGroup:
     """A parent group acting on the right cosets of a normal subgroup."""
 
@@ -400,6 +364,22 @@ def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_CAP) -
     return PermGroup(degree, gens, cap=cap)
 
 
+def greedy_generators(degree: int, pool: Iterable[Permutation], order: int) -> list[Permutation]:
+    """Scan pool in its given order, keeping each element outside the span of
+    those kept so far; the identity alone if none is kept.
+
+    order bounds the span: a closure above order + 1 elements raises
+    GroupTooLargeError.
+    """
+    gens: list[Permutation] = []
+    span = {tuple(range(degree))}
+    for e in pool:
+        if e.images not in span:
+            gens.append(e)
+            span = set(_close(degree, [g.images for g in gens], cap=order + 1))
+    return gens or [Permutation.identity(degree)]
+
+
 def group_from_elements(degree: int, elems: Iterable[Permutation]) -> PermGroup:
     """Build a PermGroup from a closed element set, picking a small generating set.
 
@@ -408,22 +388,32 @@ def group_from_elements(degree: int, elems: Iterable[Permutation]) -> PermGroup:
     elems = list(elems)
     if not elems:
         raise ValueError("element set must contain at least the identity")
-    pool = sorted(elems)
-    ident = Permutation.identity(degree)
-    gens: list[Permutation] = []
-    current = {ident.images}
-    for e in pool:
-        if e.images not in current:
-            gens.append(e)
-            current = set(
-                _close(degree, [g.images for g in gens], cap=len(elems) + 1)
-            )
-    if not gens:
-        gens = [ident]
+    gens = greedy_generators(degree, sorted(elems), len(elems))
     G = PermGroup(degree, gens, cap=len(elems) + 1)
     if G.order != len(elems):
         raise ValueError("input element set is not closed under multiplication")
     return G
+
+
+def extend_hom(
+    A: PermGroup, gens: Sequence[Permutation], imgs: Sequence[Permutation]
+) -> Optional[dict[Permutation, Permutation]]:
+    """The homomorphism from A sending gens[i] to imgs[i], or None if there is none.
+
+    gens must generate A.  The graph {(a, phi(a))} is closed as a group on
+    deg A + deg imgs points; it projects onto A, so the map is well defined
+    exactly when the closure stops at |A| elements.
+    """
+    da = A.degree
+    pairs = [g.images + tuple(x + da for x in h.images) for g, h in zip(gens, imgs)]
+    try:
+        graph = _close(da + imgs[0].degree, pairs, cap=A.order)
+    except GroupTooLargeError:
+        return None
+    return {
+        Permutation._make(t[:da]): Permutation._make(tuple(x - da for x in t[da:]))
+        for t in graph
+    }
 
 
 def intersection(A: PermGroup, B: PermGroup) -> PermGroup:

@@ -158,11 +158,6 @@ class Permutation:
         return cls.from_cycles(degree, cycles)
 
 
-def order_of(g: Permutation) -> int:
-    """Least k >= 1 with g^k equal to the identity (lcm of cycle lengths)."""
-    return g.order()
-
-
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Left-to-right product: compose(a, b) applies a first, then b."""
     if a.degree != b.degree:

@@ -5,6 +5,8 @@ sets.  A semidirect product A:B re-realizes A by its right-regular action on
 its own elements; an automorphism of A is then itself a permutation of those
 points, so B acts on A-points through its automorphism images and on its own
 points natively.  This keeps degrees at |A| + deg(B) with no quotient step.
+An action table is extended to automorphisms by `groups.extend_hom`, the
+closure of the map's graph, so this module holds no closure loop of its own.
 
 Central products are formed as (A x B)/C for the diagonal central subgroup C
 and come back as the coset action (the regular action of the quotient),
@@ -21,6 +23,7 @@ from .groups import (
     DEFAULT_CAP,
     PermGroup,
     core_within,
+    extend_hom,
     group_from_elements,
     intersection,
 )
@@ -67,38 +70,18 @@ def direct_product(A: PermGroup, B: PermGroup, cap: int = DEFAULT_CAP) -> Produc
 def extend_automorphism(A: PermGroup, gen_images: Sequence[Permutation]) -> dict:
     """Extend a generator-image table to a full automorphism map of A.
 
-    The table lists one image per generator of A.  The extension follows A's
-    closure structure and is validated as a homomorphism on the full
-    multiplication table; a bijectivity check completes the automorphism test.
-    Returns a dict mapping each element of A to its image.
+    The table lists one image per generator of A.  `extend_hom` decides
+    whether it extends to a homomorphism; a bijectivity check completes the
+    automorphism test.  Returns a dict mapping each element of A to its image.
     """
     if len(gen_images) != len(A.generators):
         raise ValueError("need exactly one image per generator")
     for img in gen_images:
         if img not in A:
             raise ValueError("automorphism image must lie in the group")
-    gen_map = dict(zip(A.generators, gen_images))
-    phi: dict[Permutation, Permutation] = {A.identity: A.identity}
-    frontier = [A.identity]
-    while frontier:
-        new_frontier = []
-        for a in frontier:
-            for g in A.generators:
-                prod = a * g
-                img = phi[a] * gen_map[g]
-                known = phi.get(prod)
-                if known is None:
-                    phi[prod] = img
-                    new_frontier.append(prod)
-                elif known != img:
-                    raise ValueError("generator-image table is not a homomorphism")
-        frontier = new_frontier
-    # full homomorphism test on the multiplication table edges
-    for a in A.elements:
-        fa = phi[a]
-        for g in A.generators:
-            if phi[a * g] != fa * gen_map[g]:
-                raise ValueError("generator-image table is not a homomorphism")
+    phi = extend_hom(A, A.generators, gen_images)
+    if phi is None:
+        raise ValueError("generator-image table is not a homomorphism")
     if len(set(phi.values())) != A.order:
         raise ValueError("generator-image table is not a bijection")
     return phi

@@ -14,7 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import PermGroup, group_from_elements
+from .groups import (
+    PermGroup,
+    core_within,
+    extend_hom,
+    greedy_generators,
+    group_from_elements,
+)
 from .perms import Permutation
 from . import standard
 
@@ -78,19 +84,8 @@ def sylow(G: PermGroup, p: int) -> SylowSubgroup:
 
 
 def o_p(G: PermGroup, p: int) -> PermGroup:
-    """The largest normal p-subgroup: intersection of all Sylow p-subgroups."""
-    S = sylow(G, p).group
-    K = S
-    changed = True
-    while changed:
-        changed = False
-        for g in G.generators:
-            gi = g.inverse()
-            kept = [k for k in K.elements if (gi * k * g) in K]
-            if len(kept) < K.order:
-                K = group_from_elements(G.degree, kept)
-                changed = True
-    return K
+    """The largest normal p-subgroup: the core of a Sylow p-subgroup."""
+    return core_within(G, sylow(G, p).group)
 
 
 def fitting(G: PermGroup) -> PermGroup:
@@ -321,43 +316,9 @@ def satisfies_hypothesis(G: PermGroup) -> HypothesisReport:
 
 def _generating_sequence(G: PermGroup) -> list[Permutation]:
     """A small generating sequence, highest element orders first."""
-    pool = sorted(
-        range(G.order), key=lambda i: (-G.element_orders()[i], G.elements[i].images)
-    )
-    gens: list[Permutation] = []
-    sub = G.trivial_subgroup()
-    for i in pool:
-        g = G.elements[i]
-        if g not in sub:
-            gens.append(g)
-            sub = G.subgroup(gens)
-            if sub.order == G.order:
-                return gens
-    return gens or [G.identity]
-
-
-def _hom_extends(A: PermGroup, gens: list[Permutation], imgs: list[Permutation], B: PermGroup) -> bool:
-    """Does gens -> imgs extend to an isomorphism A -> B?  (gens generate A.)"""
-    gen_map = dict(zip(gens, imgs))
-    phi = {A.identity: B.identity}
-    frontier = [A.identity]
-    while frontier:
-        new_frontier = []
-        for a in frontier:
-            fa = phi[a]
-            for g in gens:
-                prod = a * g
-                img = fa * gen_map[g]
-                known = phi.get(prod)
-                if known is None:
-                    phi[prod] = img
-                    new_frontier.append(prod)
-                elif known != img:
-                    return False
-        frontier = new_frontier
-    if len(phi) != A.order:
-        return False
-    return len(set(p.images for p in phi.values())) == A.order
+    orders = G.element_orders()
+    pool = sorted(range(G.order), key=lambda i: (-orders[i], G.elements[i].images))
+    return greedy_generators(G.degree, [G.elements[i] for i in pool], G.order)
 
 
 def isomorphic(A: PermGroup, B: PermGroup) -> bool:
@@ -379,7 +340,8 @@ def isomorphic(A: PermGroup, B: PermGroup) -> bool:
 
     def backtrack(pos: int, chosen: list[Permutation], span: PermGroup) -> bool:
         if pos == len(gens):
-            return _hom_extends(A, gens, chosen, B)
+            phi = extend_hom(A, gens, chosen)
+            return phi is not None and len(set(phi.values())) == A.order
         for cand in by_order.get(gen_orders[pos], []):
             if pos and cand in span:
                 # a generating sequence never repeats inside the running span

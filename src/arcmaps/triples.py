@@ -14,7 +14,9 @@ from the group's right-multiplication column of the generator, an array of
 enters a test and filled one entry at a time as the closures reach it.  The
 candidate loops reuse the same few elements over and over, so later tests
 mostly read entries earlier tests computed; the commute test of regular
-triples compares two such entries instead of multiplying.
+triples compares two such entries instead of multiplying.  This is the one
+closure over element indices; every closure over image tuples, including
+the cyclic subgroups the rotary scan skips, is `groups._close`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import NotASubgroupError, NotNormalError, PermGroup
+from .groups import NotASubgroupError, NotNormalError, PermGroup, _close
 from .perms import Permutation
 from .structure import is_cyclic, is_dihedral
 
@@ -211,7 +213,7 @@ def _find_rotary(G) -> Optional[tuple]:
     # subgroup in enumeration order, so first hits agree with the raw scan.
     seen_cyclic: set[frozenset] = set()
     for alpha in elems:
-        key = frozenset(_cyclic_images(alpha))
+        key = frozenset(_close(G.degree, [alpha.images], G.order))
         if key in seen_cyclic:
             continue
         seen_cyclic.add(key)
@@ -220,15 +222,6 @@ def _find_rotary(G) -> Optional[tuple]:
             if generates(G, [alpha, z]):
                 return (alpha, z)
     return None
-
-
-def _cyclic_images(g: Permutation):
-    x = g
-    out = [g.images]
-    while not x.is_identity():
-        x = x * g
-        out.append(x.images)
-    return out
 
 
 @dataclass(frozen=True)

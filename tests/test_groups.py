@@ -13,7 +13,14 @@ from arcmaps.groups import (
 )
 from arcmaps.perms import Permutation
 from arcmaps.products import central_product, direct_product, semidirect_product, wreath_by_s2
-from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
+from arcmaps.standard import (
+    cyclic_group,
+    dihedral_group,
+    elementary_abelian,
+    gl2_3,
+    quaternion_group,
+    symmetric_group,
+)
 from arcmaps.families import build_family, wreath_square
 
 
@@ -72,11 +79,11 @@ def test_subgroup_rejects_non_member():
 
 def test_cosets():
     G = symmetric_group(4)
-    assert len(G.cosets(G)) == 1
-    assert len(G.cosets(G.trivial_subgroup())) == G.order
+    assert len(G.coset_labels(G)[1]) == 1
+    assert len(G.coset_labels(G.trivial_subgroup())[1]) == G.order
     inst = build_family("C31", 5)
     H = inst.group.subgroup([inst.triple.elements[0], inst.triple.elements[1]])
-    assert len(inst.group.cosets(H)) == 5
+    assert len(inst.group.coset_labels(H)[1]) == 5
 
 
 def test_lagrange_on_random_subgroups():
@@ -86,7 +93,7 @@ def test_lagrange_on_random_subgroups():
         a, b = rng.sample(G.elements, 2)
         H = G.subgroup([a, b])
         assert G.order % H.order == 0
-        assert len(G.cosets(H)) == G.order // H.order
+        assert len(G.coset_labels(H)[1]) == G.order // H.order
 
 
 def test_closure_property():
@@ -160,23 +167,6 @@ def test_quotients():
         G.quotient(G.subgroup([P("(0 1)", 4)]))
 
 
-def test_coset_semantics():
-    from arcmaps.groups import Coset
-
-    G = symmetric_group(3)
-    H = G.subgroup([P("(0 1)", 3)])
-    cosets = G.cosets(H)
-    assert len(cosets) == 3
-    r = P("(0 1 2)", 3)
-    # Hg1 == Hg2 exactly when g1 * g2^-1 lies in H
-    c1 = Coset(H, r)
-    c2 = Coset(H, P("(0 1)", 3) * r)
-    assert c1 == c2
-    assert hash(c1) == hash(c2)
-    assert Coset(H, r) != Coset(H, r * r)
-    assert len(set(Coset(H, g) for g in G.elements)) == 3
-
-
 def test_quotient_order_law_over_scanned_normals():
     G = symmetric_group(4)
     for g in G.elements:
@@ -235,6 +225,16 @@ def test_semidirect_rejects_non_automorphism():
     with pytest.raises(ValueError):
         # a -> a^2 is not injective
         semidirect_product(A, cyclic_group(2), [[a * a]])
+    D6 = dihedral_group(3)
+    rot, _ = D6.generators
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        # the reflection has order 2, the rotation order 3
+        semidirect_product(D6, cyclic_group(2), [[rot, rot]])
+    V = elementary_abelian(2, 2)
+    e1, _ = V.generators
+    with pytest.raises(ValueError, match="not a bijection"):
+        # a homomorphism onto <e1>, with kernel <e1 e2>
+        semidirect_product(V, cyclic_group(2), [[e1, e1]])
 
 
 def test_group_from_elements_roundtrip():

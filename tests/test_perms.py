@@ -1,6 +1,6 @@
 import pytest
 
-from arcmaps.perms import Permutation, compose, order_of
+from arcmaps.perms import Permutation, compose
 
 
 def P(text, degree):
@@ -31,9 +31,9 @@ def test_left_to_right_convention():
 
 
 def test_order_and_cycles():
-    assert order_of(Permutation.identity(4)) == 1
-    assert order_of(P("(0 1)", 2)) == 2
-    assert order_of(P("(0 1 2)(3 4)", 5)) == 6
+    assert Permutation.identity(4).order() == 1
+    assert P("(0 1)", 2).order() == 2
+    assert P("(0 1 2)(3 4)", 5).order() == 6
     assert P("(0 1 2)(3 4)", 5).cycles() == [(0, 1, 2), (3, 4)]
 
 

@@ -1,8 +1,10 @@
-"""Differential checks of the index-based generation test and the searches on it.
+"""Differential checks of the closure kernels and the searches on them.
 
 `generates` is compared with sympy's group order, and every search result
 with a reference scan that uses a tuple closure and Permutation products
-only, in the same candidate order as the package's scans.
+only, in the same candidate order as the package's scans.  `extend_hom`
+and `coset_labels` are compared with the breadth-first extension and the
+stack orbit under H's generators that they replace.
 """
 
 import random
@@ -14,7 +16,9 @@ sympy_pg = pytest.importorskip("sympy.combinatorics")
 from test_properties import random_groups
 
 from arcmaps.families import build_table_group
-from arcmaps.standard import gl2_3
+from arcmaps.groups import extend_hom
+from arcmaps.perms import Permutation
+from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
 from arcmaps.triples import KINDS, exhaustive_search_count, find_any, generates
 from arcmaps.verify import z4_circ_gl23
 
@@ -137,3 +141,81 @@ def test_filled_columns_hold_right_products():
             assert len(col) == G.order
             for a, b in enumerate(col):
                 assert b == -1 or elems[b] == elems[a] * elems[i]
+
+
+def ref_extend_hom(A, gens, imgs):
+    """Breadth-first extension of gens[i] -> imgs[i] along A's Cayley graph:
+    the map, or None at the first edge whose two images disagree."""
+    phi = {A.identity: Permutation.identity(imgs[0].degree)}
+    frontier = [A.identity]
+    while frontier:
+        new_frontier = []
+        for a in frontier:
+            for g, h in zip(gens, imgs):
+                prod, img = a * g, phi[a] * h
+                known = phi.get(prod)
+                if known is None:
+                    phi[prod] = img
+                    new_frontier.append(prod)
+                elif known != img:
+                    return None
+        frontier = new_frontier
+    return phi
+
+
+def ref_coset_labels(G, H):
+    """Right-coset labels by orbiting each unlabelled element under left
+    multiplication by H's generators, with a stack."""
+    labels = [-1] * G.order
+    reps = []
+    for i, g in enumerate(G.elements):
+        if labels[i] != -1:
+            continue
+        reps.append(i)
+        labels[i] = len(reps) - 1
+        stack = [g]
+        while stack:
+            x = stack.pop()
+            for h in H.generators:
+                k = G.index_of(h * x)
+                if labels[k] == -1:
+                    labels[k] = len(reps) - 1
+                    stack.append(G.elements[k])
+    return labels, reps
+
+
+def _kernel_corpus():
+    return [
+        symmetric_group(4),
+        dihedral_group(6),
+        quaternion_group(8),
+        gl2_3(),
+    ] + random_groups(12)
+
+
+def test_extend_hom_matches_breadth_first_extension():
+    rng = random.Random(20252)
+    outcomes = set()
+    for A in _kernel_corpus():
+        gens = list(A.generators)
+        targets = [A, cyclic_group(2), symmetric_group(3)]
+        for _ in range(30):
+            B = rng.choice(targets)
+            if B is A and rng.random() < 0.5:
+                t = rng.choice(A.elements)
+                imgs = [g**t for g in gens]  # an inner automorphism
+            else:
+                imgs = [rng.choice(B.elements) for _ in gens]
+            want = ref_extend_hom(A, gens, imgs)
+            assert extend_hom(A, gens, imgs) == want, (A, imgs)
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_coset_labels_match_stack_orbit():
+    rng = random.Random(20253)
+    for G in _kernel_corpus():
+        subgroups = [G, G.trivial_subgroup()]
+        subgroups += [G.subgroup(rng.sample(G.elements, min(G.order, rng.randint(1, 2)))) for _ in range(4)]
+        for H in subgroups:
+            assert G.coset_labels(H) == ref_coset_labels(G, H), (G, H)
