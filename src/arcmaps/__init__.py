@@ -23,7 +23,7 @@ from .maps import (
     is_multicycle,
     underlying_graph,
 )
-from .perms import Permutation, compose
+from .perms import Permutation
 from .products import central_product, direct_product, semidirect_product, wreath_by_s2
 from .structure import (
     HypothesisReport,
@@ -61,7 +61,6 @@ __all__ = [
     "build_map",
     "central_product",
     "check_triple",
-    "compose",
     "count_involutions",
     "direct_product",
     "euler_characteristic_closed",

@@ -314,10 +314,6 @@ def _quaternion_auts() -> tuple[PermGroup, list, list]:
     return Q, sigma3, tau
 
 
-def _identity_table(F: PermGroup) -> list:
-    return list(F.generators)
-
-
 # -- Tables 1 and 2 -------------------------------------------------------------------
 
 TABLE1_CASES = ("1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7")
@@ -370,7 +366,7 @@ def _semidirect_by_roles(F: PermGroup, sigma3: list, tau: list, B: PermGroup, ro
         elif role == "inv":
             action.append(tau)
         else:
-            action.append(_identity_table(F))
+            action.append(list(F.generators))
     return semidirect_product(F, B, action)
 
 
@@ -378,11 +374,6 @@ def _z4_circ(model_group: PermGroup, minus1: Permutation) -> PermGroup:
     """Z_4 o G identifying the Z_4 square with the given central involution."""
     Z4 = cyclic_group(4)
     return central_product(Z4, model_group, [(Z4.generators[0] ** 2, minus1)]).group
-
-
-def _z3_z4() -> PermGroup:
-    A = cyclic_group(3)
-    return semidirect_product(A, cyclic_group(4), [[A.generators[0].inverse()]]).group
 
 
 def _z3l_z4(ell: int) -> ProductModel:
@@ -461,7 +452,7 @@ def _build_table_entry(table: int, case: str, column: str, ell: int) -> PermGrou
             return direct_product(left, dihedral_group(3)).group
         Q, sigma3, _ = _quaternion_auts()
         Am = semidirect_product(Q, cyclic_group(3**ell), [sigma3])
-        B = _z3_z4()
+        B = _z3l_z4(1).group
         return central_product(
             Am.group, B, [(Am.left_gens[0] ** 2, B.generators[-1] ** 2)]
         ).group
@@ -501,7 +492,7 @@ def _build_table_entry(table: int, case: str, column: str, ell: int) -> PermGrou
             return direct_product(left, dihedral_group(3)).group
         Q, sigma3, tau = _quaternion_auts()
         Am = _semidirect_by_roles(Q, sigma3, tau, dihedral_group(3**ell), ["r3", "inv"])
-        B = _z3_z4()
+        B = _z3l_z4(1).group
         return central_product(
             Am.group, B, [(Am.left_gens[0] ** 2, B.generators[-1] ** 2)]
         ).group

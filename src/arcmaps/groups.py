@@ -4,11 +4,13 @@ Groups at desk scale (order up to a configurable cap, default 200 000) are
 materialized as explicit element lists via breadth-first closure of the
 generators.  Membership, centralizers, normality, cosets and quotients are
 then direct scans.  `_close` is the one closure over image tuples: group
-construction, the greedy choice of generators (`greedy_generators`) and
+construction, the greedy choice of generators (`greedy_generators`, whose
+last closure `group_from_elements` keeps as the element list) and
 homomorphism extension (`extend_hom`, which closes the graph of the map)
-all run on it.  All objects are immutable after construction apart from
-caches whose writes are idempotent, so any operation may run concurrently
-with any other.
+all run on it.  A normal closure grows one conjugate at a time, closing
+again only when a conjugate falls outside.  All objects are immutable
+after construction apart from caches whose writes are idempotent, so any
+operation may run concurrently with any other.
 """
 
 from __future__ import annotations
@@ -163,14 +165,6 @@ class PermGroup:
             )
         return self._involutions
 
-    def exponent_of_prime(self, p: int) -> int:
-        e = 0
-        n = self.order
-        while n % p == 0:
-            n //= p
-            e += 1
-        return e
-
     def prime_divisors(self) -> list[int]:
         n = self.order
         out = []
@@ -209,9 +203,6 @@ class PermGroup:
 
     def is_subgroup(self, H: "PermGroup") -> bool:
         return H.degree == self.degree and all(h in self for h in H.elements)
-
-    def same_elements(self, H: "PermGroup") -> bool:
-        return self.order == H.order and self.is_subgroup(H)
 
     def conjugate_subgroup(self, H: "PermGroup", g: Permutation) -> "PermGroup":
         gi = g.inverse()
@@ -268,20 +259,20 @@ class PermGroup:
         return group_from_elements(self.degree, found)
 
     def normal_closure(self, seed: Sequence[Permutation]) -> "PermGroup":
-        gens = list(seed)
+        """Smallest normal subgroup containing seed, grown one conjugate at a
+        time: each generator is conjugated once by each generator of self,
+        and a conjugate outside the running closure joins it as a generator."""
+        gens = list(dict.fromkeys(seed))
         if not gens:
             return self.trivial_subgroup()
-        current = self.subgroup(gens)
-        while True:
-            extra = []
-            for h in current.generators:
-                for g in self.generators:
-                    c = g.inverse() * h * g
-                    if c not in current:
-                        extra.append(c)
-            if not extra:
-                return current
-            current = self.subgroup(list(current.generators) + extra)
+        N = self.subgroup(gens)
+        for h in gens:  # gens grows while it is scanned
+            for g in self.generators:
+                c = h**g
+                if c not in N:
+                    gens.append(c)
+                    N = self.subgroup(gens)
+        return N
 
     def commutator_subgroup(self) -> "PermGroup":
         gens = self.generators
@@ -364,20 +355,25 @@ def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_CAP) -
     return PermGroup(degree, gens, cap=cap)
 
 
-def greedy_generators(degree: int, pool: Iterable[Permutation], order: int) -> list[Permutation]:
+def greedy_generators(
+    degree: int, pool: Iterable[Permutation], order: int
+) -> tuple[list[Permutation], list[tuple]]:
     """Scan pool in its given order, keeping each element outside the span of
-    those kept so far; the identity alone if none is kept.
+    those kept so far; the identity alone if none is kept.  Returns the kept
+    generators and their span as `_close` lists it.
 
     order bounds the span: a closure above order + 1 elements raises
     GroupTooLargeError.
     """
     gens: list[Permutation] = []
-    span = {tuple(range(degree))}
+    span = [tuple(range(degree))]
+    seen = set(span)
     for e in pool:
-        if e.images not in span:
+        if e.images not in seen:
             gens.append(e)
-            span = set(_close(degree, [g.images for g in gens], cap=order + 1))
-    return gens or [Permutation.identity(degree)]
+            span = _close(degree, [g.images for g in gens], cap=order + 1)
+            seen = set(span)
+    return gens or [Permutation.identity(degree)], span
 
 
 def group_from_elements(degree: int, elems: Iterable[Permutation]) -> PermGroup:
@@ -388,11 +384,13 @@ def group_from_elements(degree: int, elems: Iterable[Permutation]) -> PermGroup:
     elems = list(elems)
     if not elems:
         raise ValueError("element set must contain at least the identity")
-    gens = greedy_generators(degree, sorted(elems), len(elems))
-    G = PermGroup(degree, gens, cap=len(elems) + 1)
-    if G.order != len(elems):
+    try:
+        gens, span = greedy_generators(degree, sorted(elems), len(elems))
+    except GroupTooLargeError:
+        span = ()
+    if len(span) != len(elems):
         raise ValueError("input element set is not closed under multiplication")
-    return G
+    return PermGroup(degree, gens, _elements=[Permutation._make(t) for t in span])
 
 
 def extend_hom(

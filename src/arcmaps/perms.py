@@ -1,6 +1,7 @@
 """Permutations of {0, ..., degree-1} with left-to-right composition.
 
-The product ``a * b`` means "apply a, then b", so ``(a * b)(p) == b(a(p))``.
+The product ``a * b`` means "apply a, then b", so ``(a * b)(p) == b(a(p))``;
+factors of different degrees raise ValueError.
 With this convention the exponent notation ``a ** b == b.inverse() * a * b``
 (conjugation) and the commutator ``a.inverse() * (a ** b)`` compose in the
 usual order.
@@ -57,6 +58,8 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         # left-to-right: apply self first, then other
         oi = other.images
+        if len(oi) != len(self.images):
+            raise ValueError(f"degree mismatch: {len(self.images)} != {len(oi)}")
         return Permutation._make(tuple(oi[x] for x in self.images))
 
     def inverse(self) -> "Permutation":
@@ -83,9 +86,6 @@ class Permutation:
             base = base * base
             k >>= 1
         return result
-
-    def conjugate(self, other: "Permutation") -> "Permutation":
-        return other.inverse() * self * other
 
     def commutator(self, other: "Permutation") -> "Permutation":
         return self.inverse() * other.inverse() * self * other
@@ -156,10 +156,3 @@ class Permutation:
         if moved and max(moved) >= degree:
             raise ValueError(f"point {max(moved)} out of range for degree {degree}")
         return cls.from_cycles(degree, cycles)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Left-to-right product: compose(a, b) applies a first, then b."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} != {b.degree}")
-    return a * b

@@ -92,10 +92,6 @@ def elementary_abelian(p: int, k: int) -> PermGroup:
     return PermGroup(p * k, gens)
 
 
-def klein_four() -> PermGroup:
-    return dihedral_group(2)
-
-
 def symmetric_group(n: int) -> PermGroup:
     if n < 2:
         return PermGroup(max(n, 1), [Permutation.identity(max(n, 1))])
@@ -173,18 +169,6 @@ def modular_group(p: int, ell: int) -> PermGroup:
     B = cyclic_group(p)
     a = A.generators[0]
     model = semidirect_product(A, B, [[a ** (p ** (ell - 1) + 1)]])
-    return model.group
-
-
-def semidihedral_group(order: int) -> PermGroup:
-    """Z_{order/2} : Z_2 with a ** b = a^(order/4 - 1); order a 2-power >= 16."""
-    if order < 16 or order & (order - 1):
-        raise ValueError("semidihedral order must be a 2-power >= 16")
-    m = order // 2
-    A = cyclic_group(m)
-    B = cyclic_group(2)
-    a = A.generators[0]
-    model = semidirect_product(A, B, [[a ** (m // 2 - 1)]])
     return model.group
 
 

@@ -6,15 +6,21 @@ cyclic or dihedral subgroup of prime index.  Conventions frozen for it:
 * the trivial subgroup counts as cyclic (so Z_p passes via its trivial
   index-p subgroup);
 * the Klein four-group counts as dihedral, Z_2 does not.
+
+The largest normal pi-subgroup O_pi(G) is the core of a maximal pi-subgroup
+(`o_pi`); O_p and the odd Hall subgroup of theorem 1.1 are read from it.
+Sylow subgroups still climb normalizers, since their generators feed the
+printed prime-index witnesses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 from .groups import (
+    GroupTooLargeError,
     PermGroup,
     core_within,
     extend_hom,
@@ -83,9 +89,39 @@ def sylow(G: PermGroup, p: int) -> SylowSubgroup:
     return SylowSubgroup(p, S, G)
 
 
+def _is_pi(n: int, primes: Collection[int]) -> bool:
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def o_pi(G: PermGroup, primes: Collection[int]) -> PermGroup:
+    """The largest normal pi-subgroup O_pi(G): the core of a maximal pi-subgroup.
+
+    O_pi(G) lies in every maximal pi-subgroup M, and the core of M is a normal
+    pi-subgroup, so the two are equal.  M grows in one scan of G.elements:
+    a pi-element joins when the closure, capped at the pi-part of |G|, stays
+    a pi-group.  A join refused once stays refused as M grows, so the scan
+    ends at a maximal M.
+    """
+    cap = math.prod(_p_part(G.order, p) for p in primes)
+    M = G.trivial_subgroup()
+    for g, k in zip(G.elements, G.element_orders()):
+        if g in M or not _is_pi(k, primes):
+            continue
+        try:
+            J = PermGroup(G.degree, list(M.generators) + [g], cap=cap)
+        except GroupTooLargeError:
+            continue
+        if _is_pi(J.order, primes):
+            M = J
+    return core_within(G, M)
+
+
 def o_p(G: PermGroup, p: int) -> PermGroup:
-    """The largest normal p-subgroup: the core of a Sylow p-subgroup."""
-    return core_within(G, sylow(G, p).group)
+    """The largest normal p-subgroup."""
+    return o_pi(G, (p,))
 
 
 def fitting(G: PermGroup) -> PermGroup:
@@ -101,20 +137,6 @@ def fitting(G: PermGroup) -> PermGroup:
 def is_cyclic(G: PermGroup) -> bool:
     n = G.order
     return any(k == n for k in G.element_orders())
-
-
-def is_abelian(G: PermGroup) -> bool:
-    return G.is_abelian()
-
-
-def is_elementary_abelian(G: PermGroup) -> bool:
-    if G.order == 1:
-        return False
-    ps = G.prime_divisors()
-    if len(ps) != 1:
-        return False
-    p = ps[0]
-    return G.is_abelian() and all(k in (1, p) for k in G.element_orders())
 
 
 def is_dihedral(G: PermGroup) -> bool:
@@ -318,7 +340,7 @@ def _generating_sequence(G: PermGroup) -> list[Permutation]:
     """A small generating sequence, highest element orders first."""
     orders = G.element_orders()
     pool = sorted(range(G.order), key=lambda i: (-orders[i], G.elements[i].images))
-    return greedy_generators(G.degree, [G.elements[i] for i in pool], G.order)
+    return greedy_generators(G.degree, [G.elements[i] for i in pool], G.order)[0]
 
 
 def isomorphic(A: PermGroup, B: PermGroup) -> bool:

@@ -36,7 +36,6 @@ from .maps import (
     is_multicycle,
     underlying_graph,
 )
-from .perms import Permutation
 from .products import central_product, direct_product, semidirect_product
 from .standard import (
     alternating_group,
@@ -54,6 +53,7 @@ from .structure import (
     is_nilpotent,
     isomorphic,
     o_p,
+    o_pi,
     fitting,
     satisfies_hypothesis,
     sylow,
@@ -180,8 +180,6 @@ def _catalog_aut_order(case: str, p: int, ell: int) -> int:
         if ell == 1:
             return (p * p - 1) * (p * p - p)
         return p ** (ell + 1) * (p - 1) ** 2
-    if case == "3":
-        return (p - 1) * p ** (ell + 1)
     raise ValueError(case)
 
 
@@ -446,26 +444,14 @@ def _find_complement(G: PermGroup, q: int) -> Optional[PermGroup]:
 # -- quotient behavior of generating data ---------------------------------------------
 
 
-def _normal_subgroups_small(G: PermGroup, max_seed: int = 2) -> list[PermGroup]:
-    """Normal closures of small element sets, deduplicated; proper ones only."""
+def _normal_subgroups_small(G: PermGroup) -> list[PermGroup]:
+    """Normal closures of single elements, deduplicated; proper ones only."""
     seen = {}
-    out = []
-    singles = []
     for g in G.elements:
         if g.is_identity():
             continue
         N = G.normal_closure([g])
-        key = frozenset(h.images for h in N.elements)
-        if key not in seen:
-            seen[key] = N
-            singles.append(g)
-    if max_seed >= 2:
-        for i, a in enumerate(singles):
-            for b in singles[i + 1 :]:
-                N = G.normal_closure([a, b])
-                key = frozenset(h.images for h in N.elements)
-                if key not in seen:
-                    seen[key] = N
+        seen.setdefault(frozenset(h.images for h in N.elements), N)
     return [N for N in seen.values() if N.order < G.order]
 
 
@@ -490,7 +476,7 @@ def verify_quotient_behavior(lmax: int = 2) -> VerificationReport:
         ok = triple is not None
         if ok:
             try:
-                for N in _normal_subgroups_small(G, max_seed=1):
+                for N in _normal_subgroups_small(G):
                     rep = quotient_behavior(G, triple, N)
                     branches[rep.branch] += 1
                     total_quotients += 1
@@ -622,40 +608,6 @@ def verify_two_group_audit(lmax: int = 2) -> VerificationReport:
 # -- solvable decomposition on instances ------------------------------------------------
 
 
-def _o_pi(G: PermGroup, primes: set[int]) -> PermGroup:
-    """Largest normal subgroup whose order involves only the given primes.
-
-    Equal to the join of the normal closures of pi-elements whose closure is
-    itself a pi-group (each such closure lies in the target, and every
-    element of the target qualifies).
-    """
-
-    def is_pi(n: int) -> bool:
-        for p in primes:
-            while n % p == 0:
-                n //= p
-        return n == 1
-
-    gens: list[Permutation] = []
-    for g in G.elements:
-        if g.is_identity() or not is_pi(g.order()):
-            continue
-        N = G.normal_closure([g])
-        if is_pi(N.order):
-            gens.append(g)
-    if not gens:
-        return G.trivial_subgroup()
-    H = G.subgroup(gens)
-    if not is_pi(H.order):
-        raise AssertionError("pi-core came out with a foreign prime")
-    return H
-
-
-def _odd_core(G: PermGroup) -> PermGroup:
-    """Largest normal odd-order subgroup."""
-    return _o_pi(G, {p for p in G.prime_divisors() if p != 2})
-
-
 def _largest_odd_hall(G: PermGroup) -> PermGroup:
     """Largest normal Hall subgroup of odd order.
 
@@ -667,7 +619,7 @@ def _largest_odd_hall(G: PermGroup) -> PermGroup:
 
     primes = {p for p in G.prime_divisors() if p != 2}
     while True:
-        H = _o_pi(G, primes) if primes else G.trivial_subgroup()
+        H = o_pi(G, primes)
         if gcd(H.order, G.order // H.order) == 1:
             return H
         deficient = {

@@ -257,7 +257,7 @@ def test_criterion_7_hypothesis_heredity():
     for G in corpus:
         if G.order > 300:
             continue
-        for N in _normal_subgroups_small(G, max_seed=1):
+        for N in _normal_subgroups_small(G):
             Q = G.quotient(N).group
             if not satisfies_hypothesis(Q).ok:
                 failures.append(

@@ -1,12 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from arcmaps.cli import main
+from arcmaps.families import build_table_group
 from arcmaps.genfiles import format_generator_file
 from arcmaps.perms import Permutation
-from arcmaps.standard import cyclic_group
+from arcmaps.standard import cyclic_group, gl2_3
 from arcmaps.products import direct_product
+from arcmaps.verify import z4_circ_gl23
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -111,6 +116,23 @@ def test_analyze_s4(tmp_path, capsys):
     assert "order: 24" in out
     assert "hypothesis: true" in out
     assert "regular triple:" in out and "regular triple: none" not in out
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("gl2_3", gl2_3),
+        ("z4_circ_gl23", z4_circ_gl23),
+        ("table1_1.5_ell1", lambda: build_table_group(1, "1.5", "Z2^2", 1)),
+    ],
+)
+def test_analyze_text_matches_recorded_output(tmp_path, capsys, name, build):
+    G = build()
+    path = tmp_path / "group.gens"
+    path.write_text(format_generator_file(G.degree, G.generators))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert out.replace(str(path), "group.gens") == (DATA / f"analyze_{name}.txt").read_text()
 
 
 def test_analyze_z4xz4(tmp_path, capsys):

@@ -245,6 +245,21 @@ def test_group_from_elements_roundtrip():
         group_from_elements(4, [Permutation.identity(4), P("(0 1 2)", 4)])
 
 
+def test_group_from_elements_rejects_set_whose_closure_is_larger():
+    # (0 1) and (1 2) generate S3, which overshoots the closure cap of 3 + 1
+    elems = [Permutation.identity(3), P("(0 1)", 3), P("(1 2)", 3)]
+    with pytest.raises(ValueError, match="not closed"):
+        group_from_elements(3, elems)
+
+
+def test_group_from_elements_lists_elements_as_its_generators_close():
+    G = gl2_3()
+    for H in (G, G.center(), G.subgroup([G.generators[0]])):
+        built = group_from_elements(G.degree, reversed(H.elements))
+        assert built.elements == PermGroup(G.degree, built.generators).elements
+        assert set(built.elements) == set(H.elements)
+
+
 def test_intersection():
     G = symmetric_group(4)
     A = G.subgroup([P("(0 1)", 4), P("(0 1 2)", 4)])

@@ -1,6 +1,6 @@
 import pytest
 
-from arcmaps.perms import Permutation, compose
+from arcmaps.perms import Permutation
 
 
 def P(text, degree):
@@ -10,24 +10,24 @@ def P(text, degree):
 def test_identity_law():
     g = P("(0 2 4)(1 3)", 5)
     e = Permutation.identity(5)
-    assert compose(e, g) == g
-    assert compose(g, e) == g
+    assert e * g == g
+    assert g * e == g
 
 
 def test_inverse_law():
     g = P("(0 1 2 3)(4 6)", 7)
-    assert compose(g, g.inverse()).is_identity()
-    assert compose(g.inverse(), g).is_identity()
+    assert (g * g.inverse()).is_identity()
+    assert (g.inverse() * g).is_identity()
 
 
 def test_left_to_right_convention():
-    # compose(a, b) applies a first: point 0 goes 0 -> 1 -> 2
+    # a * b applies a first: point 0 goes 0 -> 1 -> 2
     a, b = P("(0 1)", 3), P("(1 2)", 3)
-    ab = compose(a, b)
+    ab = a * b
     assert ab(0) == 2
     assert ab == P("(0 2 1)", 3)
     # the classical right-to-left reading of (0 1) after (1 2) is the other product
-    assert compose(b, a) == P("(0 1 2)", 3)
+    assert b * a == P("(0 1 2)", 3)
 
 
 def test_order_and_cycles():
@@ -38,8 +38,11 @@ def test_order_and_cycles():
 
 
 def test_degree_mismatch():
-    with pytest.raises(ValueError):
-        compose(P("(0 1)", 2), P("(0 1)", 3))
+    a, b = P("(0 1)", 2), P("(1 2)", 3)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        a * b
+    with pytest.raises(ValueError, match="degree mismatch"):
+        b * a
 
 
 def test_conjugation_matches_exponent_notation():

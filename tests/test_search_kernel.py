@@ -4,9 +4,13 @@
 with a reference scan that uses a tuple closure and Permutation products
 only, in the same candidate order as the package's scans.  `extend_hom`
 and `coset_labels` are compared with the breadth-first extension and the
-stack orbit under H's generators that they replace.
+stack orbit under H's generators that they replace.  `o_pi` is compared
+with the join of normal closures of pi-elements and with the core of a
+Sylow subgroup, and `normal_closure` with the round-based closure it
+replaces and with sympy's normal closure.
 """
 
+import itertools
 import random
 
 import pytest
@@ -15,10 +19,18 @@ sympy_pg = pytest.importorskip("sympy.combinatorics")
 
 from test_properties import random_groups
 
-from arcmaps.families import build_table_group
-from arcmaps.groups import extend_hom
+from arcmaps.families import (
+    TABLE1_CASES,
+    TABLE1_COLUMNS,
+    TABLE2_CASES,
+    TABLE2_COLUMNS,
+    build_table_group,
+    table_min_ell,
+)
+from arcmaps.groups import PermGroup, core_within, extend_hom
 from arcmaps.perms import Permutation
 from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
+from arcmaps.structure import o_p, o_pi, sylow
 from arcmaps.triples import KINDS, exhaustive_search_count, find_any, generates
 from arcmaps.verify import z4_circ_gl23
 
@@ -219,3 +231,116 @@ def test_coset_labels_match_stack_orbit():
         subgroups += [G.subgroup(rng.sample(G.elements, min(G.order, rng.randint(1, 2)))) for _ in range(4)]
         for H in subgroups:
             assert G.coset_labels(H) == ref_coset_labels(G, H), (G, H)
+
+
+def ref_normal_closure(G, seed):
+    """Round-based normal closure: each round conjugates every generator
+    collected so far by every generator of G, and closes from scratch."""
+    gens = list(seed)
+    if not gens:
+        return G.trivial_subgroup()
+    current = G.subgroup(gens)
+    while True:
+        extra = []
+        for h in current.generators:
+            for g in G.generators:
+                c = g.inverse() * h * g
+                if c not in current:
+                    extra.append(c)
+        if not extra:
+            return current
+        current = G.subgroup(list(current.generators) + extra)
+
+
+def ref_class_closures(G):
+    """images -> normal closure of that single element (non-identity only);
+    a conjugacy class shares one closure."""
+    closure_of = {}
+    for g in G.elements[1:]:
+        if g.images not in closure_of:
+            N = ref_normal_closure(G, [g])
+            closure_of[g.images] = N
+            orbit = [g]
+            for h in orbit:
+                for x in G.generators:
+                    c = h**x
+                    if c.images not in closure_of:
+                        closure_of[c.images] = N
+                        orbit.append(c)
+    return closure_of
+
+
+def ref_o_pi(G, primes, closure_of):
+    """Largest normal pi-subgroup as the join of the normal closures of the
+    pi-elements whose closure is a pi-group (each such closure lies in it, and
+    every element of it qualifies), generated by the distinct closures."""
+
+    def is_pi(n):
+        for p in primes:
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    H = G.trivial_subgroup()
+    for g in G.elements[1:]:
+        N = closure_of[g.images]
+        if is_pi(g.order()) and is_pi(N.order) and g not in H:
+            H = G.subgroup(list(H.generators) + list(N.generators))
+    assert is_pi(H.order)
+    return H
+
+
+@pytest.fixture(scope="module")
+def pi_corpus():
+    tables = [
+        build_table_group(table, case, col, 1)
+        for table, cases, cols in ((1, TABLE1_CASES, TABLE1_COLUMNS), (2, TABLE2_CASES, TABLE2_COLUMNS))
+        for case in cases
+        if table_min_ell(table, case) == 1
+        for col in cols
+    ]
+    return random_groups(12) + [gl2_3(), z4_circ_gl23()] + tables
+
+
+def _elements(H):
+    return {h.images for h in H.elements}
+
+
+def test_o_pi_matches_join_of_normal_closures(pi_corpus):
+    sizes = set()
+    for G in pi_corpus:
+        closure_of = ref_class_closures(G)
+        primes = G.prime_divisors()
+        for r in range(len(primes) + 1):
+            for pi in itertools.combinations(primes, r):
+                got = o_pi(G, pi)
+                assert _elements(got) == _elements(ref_o_pi(G, pi, closure_of)), (G, pi)
+                sizes.add(1 < got.order < G.order)
+        for p in primes:
+            want = core_within(G, sylow(G, p).group)  # a Sylow subgroup's core
+            assert _elements(o_p(G, p)) == _elements(want), (G, p)
+    assert sizes == {True, False}
+
+
+def test_normal_closure_matches_rounds_and_sympy(pi_corpus, monkeypatch):
+    closed_from = []
+    subgroup = PermGroup.subgroup
+
+    def spy(self, gens):
+        closed_from.append(list(gens))
+        return subgroup(self, gens)
+
+    monkeypatch.setattr(PermGroup, "subgroup", spy)
+    rng = random.Random(20254)
+    for G in pi_corpus:
+        sym = sympy_pg.PermutationGroup([sympy_pg.Permutation(list(g.images)) for g in G.generators])
+        seeds = [[g] for g in rng.sample(G.elements, min(G.order, 4))]
+        seeds += [rng.sample(G.elements, min(G.order, 2)) for _ in range(3)]
+        seeds.append(seeds[0] * 2)  # a repeated seed element
+        for seed in seeds:
+            closed_from.clear()
+            got = G.normal_closure(seed)
+            assert all(len(set(gens)) == len(gens) for gens in closed_from), seed
+            assert _elements(got) == _elements(ref_normal_closure(G, seed)), (G, seed)
+            want = sym.normal_closure([sympy_pg.Permutation(list(g.images)) for g in seed])
+            assert got.order == want.order(), (G, seed)

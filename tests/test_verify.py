@@ -1,10 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from arcmaps.standard import cyclic_group, frobenius_group, symmetric_group
+from arcmaps.structure import o_pi
 from arcmaps.verify import (
     CLAIMS,
     _find_complement,
-    _odd_core,
     find_decomposition,
     run_claims,
     verify_decomposition_instances,
@@ -15,12 +18,17 @@ from arcmaps.verify import (
     z4_circ_gl23,
 )
 
+DATA = Path(__file__).parent / "data"
+
 
 def test_registry_runs_every_claim_at_lmax_1():
     reports = run_claims("all", 1)
     assert len(reports) == len(CLAIMS)
     for rep in reports:
         assert rep.status == "confirmed", (rep.claim, [c for c in rep.checks if not c.ok])
+    # the records `arcmaps verify all --lmax 1 --format records` prints
+    got = [json.dumps(rep.to_record(), sort_keys=True) for rep in reports]
+    assert got == (DATA / "verify_all_lmax1.jsonl").read_text().splitlines()
 
 
 def test_unknown_claim_raises():
@@ -66,10 +74,10 @@ def test_two_group_audit_flags_q8z4():
 
 def test_odd_core_and_complement():
     G = frobenius_group(7, 3)
-    H = _odd_core(G)
+    H = o_pi(G, (3, 7))
     assert H.order == 21
     G2 = symmetric_group(4)
-    assert _odd_core(G2).order == 1
+    assert o_pi(G2, (3,)).order == 1
     K = _find_complement(frobenius_group(7, 3), 3)
     assert K is not None and K.order == 3
 
