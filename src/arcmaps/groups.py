@@ -7,10 +7,22 @@ then direct scans.  `_close` is the one closure over image tuples: group
 construction, the greedy choice of generators (`greedy_generators`, whose
 last closure `group_from_elements` keeps as the element list) and
 homomorphism extension (`extend_hom`, which closes the graph of the map)
-all run on it.  A normal closure grows one conjugate at a time, closing
-again only when a conjugate falls outside.  All objects are immutable
-after construction apart from caches whose writes are idempotent, so any
-operation may run concurrently with any other.
+all run on it.
+
+Two kinds of lazily filled `array('i')` tables of element indices sit
+beside the element list, each 4 * order bytes and -1 until an entry is
+first read: right-multiplication columns (`_column`/`_mul_index`), one per
+element that enters a generation test, and conjugation tables
+(`_conj_index`), one per generator g, mapping the index of e to that of
+g^-1 * e * g.  `core_within`, `is_normal`, `normal_closure` and `center`
+read the conjugation tables and build no Permutation products.  A normal
+closure grows one conjugate at a time, closing again only when a
+conjugate falls outside.  A normalizer contains the subgroup, so it is a
+union of right cosets and one representative decides each coset.
+
+All objects are immutable after construction apart from caches whose
+writes are idempotent, so any operation may run concurrently with any
+other.
 """
 
 from __future__ import annotations
@@ -76,6 +88,7 @@ class PermGroup:
         "_orders",
         "_involutions",
         "_columns",
+        "_conj",
         "_abelian",
     )
 
@@ -101,6 +114,7 @@ class PermGroup:
         self._orders: Optional[tuple[int, ...]] = None
         self._involutions: Optional[tuple[int, ...]] = None
         self._columns: dict[int, array] = {}
+        self._conj: dict[int, array] = {}
         self._abelian: Optional[bool] = None
 
     @property
@@ -144,6 +158,23 @@ class PermGroup:
         if col is not None:
             col[a] = b
         return b
+
+    # -- conjugation tables ----------------------------------------------------------
+
+    def _conj_index(self, a: int, j: int) -> int:
+        """Index of g^-1 * elements[a] * g for g = generators[j].  The table of
+        generator j holds 4 * order bytes, each entry -1 until first computed."""
+        table = self._conj.get(j)
+        if table is None:
+            table = self._conj.setdefault(j, array("i", [-1]) * len(self.elements))
+        c = table[a]
+        if c < 0:
+            g = self.generators[j].images
+            img = list(g)
+            for gp, q in zip(g, self.elements[a].images):  # img[g[p]] = g[e[p]]
+                img[gp] = g[q]
+            c = table[a] = self._index[tuple(img)]
+        return c
 
     # -- cached element statistics -------------------------------------------------
 
@@ -235,8 +266,13 @@ class PermGroup:
     # -- standard subgroup constructions ---------------------------------------------
 
     def center(self) -> "PermGroup":
-        gens = self.generators
-        central = [g for g in self.elements if all(g * x == x * g for x in gens)]
+        """The elements that every conjugation table maps to themselves."""
+        js = range(len(self.generators))
+        central = [
+            e
+            for a, e in enumerate(self.elements)
+            if all(self._conj_index(a, j) == a for j in js)
+        ]
         return group_from_elements(self.degree, central)
 
     def centralizer(self, elems: Iterable[Permutation]) -> "PermGroup":
@@ -250,12 +286,15 @@ class PermGroup:
     def normalizer(self, H: "PermGroup") -> "PermGroup":
         if not self.is_subgroup(H):
             raise NotASubgroupError("normalizer input must be a subgroup")
-        hgens = H.generators
-        found = []
-        for g in self.elements:
+        # H <= N_G(H), so N_G(H) is a union of right cosets Hg and one
+        # representative decides its whole coset
+        labels, reps = self.coset_labels(H)
+        inside = []
+        for r in reps:
+            g = self.elements[r]
             gi = g.inverse()
-            if all((gi * h * g) in H for h in hgens):
-                found.append(g)
+            inside.append(all((gi * h * g) in H for h in H.generators))
+        found = [e for e, c in zip(self.elements, labels) if inside[c]]
         return group_from_elements(self.degree, found)
 
     def normal_closure(self, seed: Sequence[Permutation]) -> "PermGroup":
@@ -266,9 +305,11 @@ class PermGroup:
         if not gens:
             return self.trivial_subgroup()
         N = self.subgroup(gens)
+        js = range(len(self.generators))
         for h in gens:  # gens grows while it is scanned
-            for g in self.generators:
-                c = h**g
+            a = self.index_of(h)
+            for j in js:
+                c = self.elements[self._conj_index(a, j)]
                 if c not in N:
                     gens.append(c)
                     N = self.subgroup(gens)
@@ -283,8 +324,11 @@ class PermGroup:
     def is_normal(self, H: "PermGroup") -> bool:
         if not self.is_subgroup(H):
             raise NotASubgroupError("normality test requires a subgroup")
+        js = range(len(self.generators))
         return all(
-            (g.inverse() * h * g) in H for h in H.generators for g in self.generators
+            self.elements[self._conj_index(a, j)] in H
+            for a in map(self.index_of, H.generators)
+            for j in js
         )
 
     def derived_series(self, cap: int = 20) -> list["PermGroup"]:
@@ -422,15 +466,26 @@ def intersection(A: PermGroup, B: PermGroup) -> PermGroup:
 
 
 def core_within(G: PermGroup, H: PermGroup) -> PermGroup:
-    """Largest subgroup of H normal in G (iterated K := K ∩ K^g over generators)."""
-    K = H
+    """Largest subgroup of H normal in G, H itself when H is normal.
+
+    H's element indices are cut down by K := K ∩ K^(g^-1) over the generators
+    g of G, read from the conjugation tables, until no generator removes an
+    element; the group is built once, from what is left.
+    """
+    ks = [G.index_of(h) for h in H.elements]
+    mask = bytearray(G.order)
+    for a in ks:
+        mask[a] = 1
     changed = True
     while changed:
         changed = False
-        for g in G.generators:
-            gi = g.inverse()
-            kept = [k for k in K.elements if (gi * k * g) in K]
-            if len(kept) < K.order:
-                K = group_from_elements(G.degree, kept)
-                changed = True
-    return K
+        for j in range(len(G.generators)):
+            kept = [a for a in ks if mask[G._conj_index(a, j)]]
+            if len(kept) < len(ks):
+                mask = bytearray(G.order)
+                for a in kept:
+                    mask[a] = 1
+                ks, changed = kept, True
+    if len(ks) == H.order:
+        return H
+    return group_from_elements(G.degree, [G.elements[a] for a in ks])

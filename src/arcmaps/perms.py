@@ -112,7 +112,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()

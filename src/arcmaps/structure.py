@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Collection, Optional
 
 from .groups import (
-    GroupTooLargeError,
     PermGroup,
     core_within,
     extend_hom,
@@ -96,27 +95,68 @@ def _is_pi(n: int, primes: Collection[int]) -> bool:
     return n == 1
 
 
+def _pi_join(
+    G: PermGroup,
+    members: list[int],
+    in_m: bytearray,
+    gens: list[int],
+    i: int,
+    pi_order: list[bool],
+) -> Optional[list[int]]:
+    """The element indices that element i adds to the subgroup M, or None at
+    the first one whose order is not a pi-number.
+
+    M is given by its indices `members`, its membership mask `in_m` and the
+    indices `gens` that generate it.  A BFS on indices through
+    `G._mul_index`: the members need only be multiplied by element i, and
+    each new element by every generator.
+    """
+    seen = bytearray(in_m)
+    added: list[int] = []
+    frontier, step = members, [i]
+    while frontier:
+        new = []
+        for a in frontier:
+            for k in step:
+                b = G._mul_index(a, k)
+                if not seen[b]:
+                    if not pi_order[b]:
+                        return None
+                    seen[b] = 1
+                    new.append(b)
+        added += new
+        frontier, step = new, gens + [i]
+    return added
+
+
 def o_pi(G: PermGroup, primes: Collection[int]) -> PermGroup:
     """The largest normal pi-subgroup O_pi(G): the core of a maximal pi-subgroup.
 
     O_pi(G) lies in every maximal pi-subgroup M, and the core of M is a normal
     pi-subgroup, so the two are equal.  M grows in one scan of G.elements:
-    a pi-element joins when the closure, capped at the pi-part of |G|, stays
-    a pi-group.  A join refused once stays refused as M grows, so the scan
-    ends at a maximal M.
+    a pi-element joins when every element of the join has pi-order, which
+    by Cauchy's theorem is exactly when the join is a pi-group.  Joins run
+    on element indices and stop at the first element of non-pi order.  A
+    join refused once stays refused as M grows, so the scan ends at a
+    maximal M.
     """
-    cap = math.prod(_p_part(G.order, p) for p in primes)
-    M = G.trivial_subgroup()
-    for g, k in zip(G.elements, G.element_orders()):
-        if g in M or not _is_pi(k, primes):
+    pi_order = [_is_pi(k, primes) for k in G.element_orders()]
+    accepted: list[int] = []
+    members = [0]  # the identity
+    in_m = bytearray(G.order)
+    in_m[0] = 1
+    for i, ok in enumerate(pi_order):
+        if in_m[i] or not ok:
             continue
-        try:
-            J = PermGroup(G.degree, list(M.generators) + [g], cap=cap)
-        except GroupTooLargeError:
-            continue
-        if _is_pi(J.order, primes):
-            M = J
-    return core_within(G, M)
+        added = _pi_join(G, members, in_m, accepted, i, pi_order)
+        if added is not None:
+            accepted.append(i)
+            members += added
+            for a in added:
+                in_m[a] = 1
+    # M's generators: the identity (M grows from the trivial subgroup), then
+    # the accepted elements in scan order
+    return core_within(G, G.subgroup([G.elements[i] for i in [0, *accepted]]))
 
 
 def o_p(G: PermGroup, p: int) -> PermGroup:

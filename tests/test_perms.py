@@ -37,6 +37,21 @@ def test_order_and_cycles():
     assert P("(0 1 2)(3 4)", 5).cycles() == [(0, 1, 2), (3, 4)]
 
 
+def test_order_lists_cycles_once(monkeypatch):
+    calls = []
+    cycles = Permutation.cycles
+
+    def spy(self):
+        calls.append(self)
+        return cycles(self)
+
+    monkeypatch.setattr(Permutation, "cycles", spy)
+    for text, want in (("()", 1), ("(0 1)", 2), ("(0 1 2)(3 4)", 6)):
+        calls.clear()
+        assert P(text, 5).order() == want
+        assert len(calls) == 1
+
+
 def test_degree_mismatch():
     a, b = P("(0 1)", 2), P("(1 2)", 3)
     with pytest.raises(ValueError, match="degree mismatch"):

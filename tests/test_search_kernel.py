@@ -5,9 +5,12 @@ with a reference scan that uses a tuple closure and Permutation products
 only, in the same candidate order as the package's scans.  `extend_hom`
 and `coset_labels` are compared with the breadth-first extension and the
 stack orbit under H's generators that they replace.  `o_pi` is compared
-with the join of normal closures of pi-elements and with the core of a
-Sylow subgroup, and `normal_closure` with the round-based closure it
-replaces and with sympy's normal closure.
+with the join of normal closures of pi-elements, with the capped-closure
+scan it replaces and with the core of a Sylow subgroup, and
+`normal_closure` with the round-based closure it replaces and with sympy's
+normal closure.  `core_within` and `normalizer` are compared with the
+Permutation-product loops they replace, `is_normal` and `center` with
+sympy, and the conjugation tables with `**`.
 """
 
 import itertools
@@ -27,7 +30,8 @@ from arcmaps.families import (
     build_table_group,
     table_min_ell,
 )
-from arcmaps.groups import PermGroup, core_within, extend_hom
+from arcmaps import groups
+from arcmaps.groups import GroupTooLargeError, PermGroup, core_within, extend_hom, group_from_elements
 from arcmaps.perms import Permutation
 from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
 from arcmaps.structure import o_p, o_pi, sylow
@@ -290,6 +294,56 @@ def ref_o_pi(G, primes, closure_of):
     return H
 
 
+def ref_core_within(G, H):
+    """Iterated K := K ∩ K^(g^-1) over the generators of G by Permutation
+    products, re-building K after every generator that removes an element."""
+    K = H
+    changed = True
+    while changed:
+        changed = False
+        for g in G.generators:
+            gi = g.inverse()
+            kept = [k for k in K.elements if (gi * k * g) in K]
+            if len(kept) < K.order:
+                K = group_from_elements(G.degree, kept)
+                changed = True
+    return K
+
+
+def ref_normalizer(G, H):
+    """Every element of G tested on its own by conjugating H's generators."""
+    found = []
+    for g in G.elements:
+        gi = g.inverse()
+        if all((gi * h * g) in H for h in H.generators):
+            found.append(g)
+    return group_from_elements(G.degree, found)
+
+
+def ref_o_pi_capped(G, primes):
+    """Maximal pi-subgroup grown by closures capped at the pi-part of |G|,
+    a join kept when its order is a pi-number; its core by `ref_core_within`."""
+
+    def pi_free(n):
+        for p in primes:
+            while n % p == 0:
+                n //= p
+        return n
+
+    cap = G.order // pi_free(G.order)
+    M = G.trivial_subgroup()
+    for g, k in zip(G.elements, G.element_orders()):
+        if g in M or pi_free(k) != 1:
+            continue
+        try:
+            J = PermGroup(G.degree, list(M.generators) + [g], cap=cap)
+        except GroupTooLargeError:
+            continue
+        if pi_free(J.order) == 1:
+            M = J
+    return ref_core_within(G, M)
+
+
 @pytest.fixture(scope="module")
 def pi_corpus():
     tables = [
@@ -317,7 +371,7 @@ def test_o_pi_matches_join_of_normal_closures(pi_corpus):
                 assert _elements(got) == _elements(ref_o_pi(G, pi, closure_of)), (G, pi)
                 sizes.add(1 < got.order < G.order)
         for p in primes:
-            want = core_within(G, sylow(G, p).group)  # a Sylow subgroup's core
+            want = ref_core_within(G, sylow(G, p).group)  # a Sylow subgroup's core
             assert _elements(o_p(G, p)) == _elements(want), (G, p)
     assert sizes == {True, False}
 
@@ -344,3 +398,73 @@ def test_normal_closure_matches_rounds_and_sympy(pi_corpus, monkeypatch):
             assert _elements(got) == _elements(ref_normal_closure(G, seed)), (G, seed)
             want = sym.normal_closure([sympy_pg.Permutation(list(g.images)) for g in seed])
             assert got.order == want.order(), (G, seed)
+
+
+def _same(got, want):
+    return got.generators == want.generators and got.elements == want.elements
+
+
+def _sym(G):
+    return sympy_pg.PermutationGroup([sympy_pg.Permutation(list(g.images)) for g in G.generators])
+
+
+def _test_subgroups(G, rng):
+    """Every Sylow subgroup and three seeded cyclic subgroups."""
+    subs = [sylow(G, p).group for p in G.prime_divisors()]
+    subs += [G.subgroup([g]) for g in rng.sample(G.elements, min(G.order, 3))]
+    return subs
+
+
+def test_o_pi_matches_capped_closure_scan(pi_corpus):
+    for G in pi_corpus:
+        primes = G.prime_divisors()
+        for r in range(len(primes) + 1):
+            for pi in itertools.combinations(primes, r):
+                assert _same(o_pi(G, pi), ref_o_pi_capped(G, pi)), (G, pi)
+
+
+def test_core_and_normalizer_match_product_loops(pi_corpus, monkeypatch):
+    built = []
+    build = groups.group_from_elements
+
+    def spy(degree, elems):
+        built.append(degree)
+        return build(degree, elems)
+
+    monkeypatch.setattr(groups, "group_from_elements", spy)
+    rng = random.Random(20255)
+    outcomes = set()
+    for G in pi_corpus:
+        for H in _test_subgroups(G, rng):
+            want_core = ref_core_within(G, H)
+            want_norm = ref_normalizer(G, H)
+            built.clear()
+            core = core_within(G, H)
+            assert len(built) <= 1
+            assert _same(core, want_core), (G, H)
+            assert (core is H) == (want_core is H)
+            assert _same(G.normalizer(H), want_norm), (G, H)
+            outcomes.add((core is H, H.order < want_norm.order < G.order))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_is_normal_and_center_agree_with_sympy(pi_corpus):
+    rng = random.Random(20256)
+    outcomes = set()
+    for G in pi_corpus:
+        sym = _sym(G)
+        assert G.center().order == sym.center().order(), G
+        for H in _test_subgroups(G, rng):
+            want = _sym(H).is_normal(sym)
+            assert G.is_normal(H) == want, (G, H)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_conjugation_tables_hold_conjugates():
+    for G in _kernel_corpus() + _named_groups():
+        for j, g in enumerate(G.generators):
+            for a, e in enumerate(G.elements):
+                assert G._conj_index(a, j) == G.index_of(e**g), (G, a, j)
+        assert sorted(G._conj) == list(range(len(G.generators)))
+        assert all(min(t) >= 0 for t in G._conj.values())
