@@ -15,9 +15,10 @@ first read: right-multiplication columns (`_column`/`_mul_index`), one per
 element that enters a generation test, and conjugation tables
 (`_conj_index`), one per generator g, mapping the index of e to that of
 g^-1 * e * g.  `core_within`, `is_normal`, `normal_closure` and `center`
-read the conjugation tables and build no Permutation products.  A normal
-closure grows one conjugate at a time, closing again only when a
-conjugate falls outside.  A normalizer contains the subgroup, so it is a
+read the conjugation tables and build no Permutation products, and the
+triple searches read them to find the G-orbits of the candidate blocks
+they skip.  A normal closure grows one conjugate at a time, closing again
+only when a conjugate falls outside.  A normalizer contains the subgroup, so it is a
 union of right cosets and one representative decides each coset.
 
 All objects are immutable after construction apart from caches whose

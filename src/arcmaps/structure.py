@@ -154,9 +154,7 @@ def o_pi(G: PermGroup, primes: Collection[int]) -> PermGroup:
             members += added
             for a in added:
                 in_m[a] = 1
-    # M's generators: the identity (M grows from the trivial subgroup), then
-    # the accepted elements in scan order
-    return core_within(G, G.subgroup([G.elements[i] for i in [0, *accepted]]))
+    return core_within(G, G.subgroup([G.elements[i] for i in accepted]))
 
 
 def o_p(G: PermGroup, p: int) -> PermGroup:

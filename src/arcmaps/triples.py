@@ -8,6 +8,18 @@ deterministic: candidates are scanned in element-enumeration order, symmetric
 candidates are pruned, and the generation test exits early once a closure
 passes half the group order (a proper subgroup has index at least 2).
 
+The defining conditions are invariant under conjugation in G, so every
+scan runs in blocks of the candidates that share a first element (rotary
+pairs) or a first pair (triples; unordered in the pruned regular and
+reversing scans).  When a block ends with no hit, its whole G-orbit is
+marked, found by a breadth-first search over the conjugation tables, and
+a later block whose key is marked is skipped: each of its candidates is
+conjugate to one already rejected.  A rejected alpha also marks the
+orbits of its powers, since <alpha^k, z> lies in <alpha, z>.  The first
+hit is therefore the one the same scan without skipping would find, and
+`exhaustive_search_count` adds a skipped block's raw size, so its count
+still covers the whole candidate space.
+
 The generation test runs on element indices.  Each product it needs is read
 from the group's right-multiplication column of the generator, an array of
 |G| indices (4|G| bytes) that is allocated the first time that element
@@ -15,8 +27,8 @@ enters a test and filled one entry at a time as the closures reach it.  The
 candidate loops reuse the same few elements over and over, so later tests
 mostly read entries earlier tests computed; the commute test of regular
 triples compares two such entries instead of multiplying.  This is the one
-closure over element indices; every closure over image tuples, including
-the cyclic subgroups the rotary scan skips, is `groups._close`.
+closure over element indices; every closure over image tuples is
+`groups._close`.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import NotASubgroupError, NotNormalError, PermGroup, _close
+from .groups import NotASubgroupError, NotNormalError, PermGroup
 from .perms import Permutation
 from .structure import is_cyclic, is_dihedral
 
@@ -140,26 +152,40 @@ def search_space_size(G: PermGroup, kind: str) -> int:
 
 
 def exhaustive_search_count(G: PermGroup, kind: str) -> tuple[Optional[tuple], int]:
-    """Unpruned scan over the whole raw candidate space, counting every candidate.
+    """Scan over the whole raw candidate space, counting every candidate.
 
-    Slower than find_any (no symmetry pruning, no early stop), but the count
-    of examined candidates equals search_space_size exactly, which is the
-    certificate a non-existence claim wants.  Returns (first witness, count).
+    No multiset or (x, z) symmetry pruning and no early stop, so it is
+    slower than find_any, but the count of examined candidates equals
+    search_space_size exactly, which is the certificate a non-existence
+    claim wants.  The count is the tested candidates plus the raw size of
+    every skipped block (a first element for rotary pairs, an ordered first
+    pair for triples): one conjugate to a rejected block, or, for rotary
+    pairs, to a power of a rejected alpha, and every block after the
+    witness.  Returns (first witness, count).
     """
     elems = G.elements
     inv = G.involution_indices()
     examined = 0
     witness = None
+    done: set[tuple] = set()
     if kind == "rotary":
-        for alpha in elems:
+        for a, alpha in enumerate(elems):
+            if witness is not None or (a,) in done:
+                examined += len(inv)
+                continue
             for k in inv:
                 examined += 1
                 if witness is None and generates(G, [alpha, elems[k]]):
                     witness = (alpha, elems[k])
+            if witness is None:
+                _mark_orbits(G, done, _powers(G, a))
         return witness, examined
     for i in inv:
         x = elems[i]
         for j in inv:
+            if witness is not None or (i, j) in done:
+                examined += len(inv)
+                continue
             y = elems[j]
             for k in inv:
                 z = elems[k]
@@ -170,57 +196,95 @@ def exhaustive_search_count(G: PermGroup, kind: str) -> tuple[Optional[tuple], i
                     continue
                 if generates(G, [x, y, z]):
                     witness = (x, y, z)
+            if witness is None:
+                _mark_orbits(G, done, [(i, j)])
     return witness, examined
+
+
+def _mark_orbits(G: PermGroup, done: set, blocks) -> None:
+    """Add the G-orbit of each block, a tuple of element indices, to done.
+
+    G acts on a block by conjugating every entry through G's conjugation
+    tables.  Closing under the generators gives the orbit under G, so done
+    stays a union of orbits and a block already in it needs no search.  An
+    unordered pair is marked as both of its orders.
+    """
+    conj = G._conj_index
+    stack = [b for b in blocks if b not in done]
+    done.update(stack)
+    while stack:
+        block = stack.pop()
+        for j in range(len(G.generators)):
+            img = tuple([conj(a, j) for a in block])
+            if img not in done:
+                done.add(img)
+                stack.append(img)
+
+
+def _powers(G: PermGroup, a: int) -> list[tuple]:
+    """The powers of elements[a], as 1-tuples of element indices."""
+    powers = [(a,)]
+    while powers[-1] != (0,):
+        powers.append((G._mul_index(powers[-1][0], a),))
+    return powers
 
 
 def _find_regular(G) -> Optional[tuple]:
     elems = G.elements
     inv = G.involution_indices()
-    # (x, z) and (z, x) give equivalent triples; scan i < k only
+    done: set[tuple] = set()
+    # (x, z) and (z, x) give equivalent triples; scan i < k only, so a
+    # block is an unordered pair
     for ii, i in enumerate(inv):
         x = elems[i]
         for k in inv[ii + 1 :]:
-            z = elems[k]
-            if G._mul_index(i, k) != G._mul_index(k, i):
+            if (i, k) in done or G._mul_index(i, k) != G._mul_index(k, i):
                 continue
+            z = elems[k]
             for j in inv:
                 y = elems[j]
                 if generates(G, [x, y, z]):
                     return (x, y, z)
+            _mark_orbits(G, done, [(i, k), (k, i)])
     return None
 
 
 def _find_reversing(G) -> Optional[tuple]:
     elems = G.elements
     inv = G.involution_indices()
-    # fully symmetric conditions: scan multisets i <= j <= k
+    done: set[tuple] = set()
+    # fully symmetric conditions: scan multisets i <= j <= k.  When the
+    # block of (i, j) ends, every multiset holding both has been rejected
+    # (the others sort into earlier blocks), so the block is unordered.
     for a, i in enumerate(inv):
         x = elems[i]
         for b in range(a, len(inv)):
-            y = elems[inv[b]]
+            j = inv[b]
+            if (i, j) in done:
+                continue
+            y = elems[j]
             for c in range(b, len(inv)):
                 z = elems[inv[c]]
                 if generates(G, [x, y, z]):
                     return (x, y, z)
+            _mark_orbits(G, done, [(i, j), (j, i)])
     return None
 
 
 def _find_rotary(G) -> Optional[tuple]:
     elems = G.elements
     inv = G.involution_indices()
-    # <alpha, z> depends on alpha only through <alpha>: skip repeated cyclic
-    # subgroups; the kept representative is the first generator of its
-    # subgroup in enumeration order, so first hits agree with the raw scan.
-    seen_cyclic: set[frozenset] = set()
-    for alpha in elems:
-        key = frozenset(_close(G.degree, [alpha.images], G.order))
-        if key in seen_cyclic:
+    # <alpha^k, z> lies in <alpha, z>: a rejected alpha also marks the
+    # orbits of its powers
+    done: set[tuple] = set()
+    for a, alpha in enumerate(elems):
+        if (a,) in done:
             continue
-        seen_cyclic.add(key)
         for k in inv:
             z = elems[k]
             if generates(G, [alpha, z]):
                 return (alpha, z)
+        _mark_orbits(G, done, _powers(G, a))
     return None
 
 

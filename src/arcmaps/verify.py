@@ -504,6 +504,12 @@ def z4_circ_gl23() -> PermGroup:
 
 
 def verify_gl23_no_regular(lmax: int = 2) -> VerificationReport:
+    """No regular triple in GL(2,3) or Z4 o GL(2,3), by exhaustive count.
+
+    `examined` is the number of candidates tested plus the raw size of
+    every block skipped as conjugate to a rejected one; the claim holds
+    when no witness is found and it equals `search_space_size`.
+    """
     t0 = time.time()
     checks = []
     G = gl2_3()
@@ -551,6 +557,14 @@ def verify_gl23_no_regular(lmax: int = 2) -> VerificationReport:
 
 
 def verify_inverted_abelian_no_rotary(lmax: int = 3) -> VerificationReport:
+    """No rotary pair on (Z_{3^l} x Z3):Z2, by exhaustive count, with D18 as
+    a control that has one.
+
+    `examined` is the number of candidates tested plus the raw size of
+    every skipped block (the pairs of an alpha conjugate to a power of a
+    rejected alpha); the claim holds when no witness is found and it
+    equals `search_space_size`.
+    """
     t0 = time.time()
     checks = []
     spaces = {}
@@ -781,7 +795,11 @@ def verify_k_group_audit(lmax: int = 2) -> VerificationReport:
     involutions, so no regular triple can project down.  Each unrealizable
     member carries that quotient obstruction, re-checked, in its
     certificate; the claim is refuted only if a search outcome contradicts
-    the classification itself.
+    the classification itself.  The searches skip every block of candidates
+    conjugate to one already rejected; the exhaustive count of the
+    unrealizable members (made in the acceptance test) is the number of
+    candidates tested plus the raw size of every skipped conjugate block,
+    and equals `search_space_size`.
     """
     t0 = time.time()
     checks = []

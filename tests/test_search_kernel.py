@@ -2,7 +2,10 @@
 
 `generates` is compared with sympy's group order, and every search result
 with a reference scan that uses a tuple closure and Permutation products
-only, in the same candidate order as the package's scans.  `extend_hom`
+only, in the same candidate order as the package's scans but with no
+conjugacy pruning, on random groups, on the K-groups at ell = 1 and, as a
+hypothesis property, on small random permutation groups.  The pruning's
+work is bounded by the number of G-orbits of its blocks.  `extend_hom`
 and `coset_labels` are compared with the breadth-first extension and the
 stack orbit under H's generators that they replace.  `o_pi` is compared
 with the join of normal closures of pi-elements, with the capped-closure
@@ -19,6 +22,8 @@ import random
 import pytest
 
 sympy_pg = pytest.importorskip("sympy.combinatorics")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
 
 from test_properties import random_groups
 
@@ -30,13 +35,13 @@ from arcmaps.families import (
     build_table_group,
     table_min_ell,
 )
-from arcmaps import groups
+from arcmaps import groups, triples
 from arcmaps.groups import GroupTooLargeError, PermGroup, core_within, extend_hom, group_from_elements
 from arcmaps.perms import Permutation
 from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
 from arcmaps.structure import o_p, o_pi, sylow
 from arcmaps.triples import KINDS, exhaustive_search_count, find_any, generates
-from arcmaps.verify import z4_circ_gl23
+from arcmaps.verify import _k_groups_regular, _k_groups_rotary, z4_circ_gl23
 
 
 def _named_groups():
@@ -133,18 +138,69 @@ def test_generates_agrees_with_sympy_order():
     assert outcomes == {True, False}
 
 
+def _k_groups():
+    """The K-groups at ell = 1: orders up to 144, four of them (orders 72
+    and 144) without a regular triple."""
+    return [G for _, G in _k_groups_regular(1) + _k_groups_rotary(1)]
+
+
 def test_find_any_matches_reference_scan():
-    for G in [H for H in random_groups(12) if H.order <= 120] + _named_groups():
+    groups = [H for H in random_groups(12) if H.order <= 120] + _named_groups() + _k_groups()
+    missing = set()
+    for G in groups:
         for kind in KINDS:
             got = find_any(G, kind)
             want = ref_find_any(G, kind)
             assert (got.elements if got else None) == want, (G, kind)
+            if want is None:
+                missing.add((kind, G.order))
+    assert {("regular", 72), ("regular", 144)} <= missing
 
 
 def test_exhaustive_count_matches_reference_scan():
-    for G in [H for H in random_groups(12) if H.order <= 120] + _named_groups():
+    order_72 = [G for G in _k_groups() if G.order == 72]
+    for G in [H for H in random_groups(12) if H.order <= 120] + _named_groups() + order_72:
         for kind in KINDS:
             assert exhaustive_search_count(G, kind) == ref_exhaustive(G, kind), (G, kind)
+
+
+def _pair_orbits(G, pairs):
+    """Number of G-orbits on a set of unordered pairs, by conjugating with
+    every element of G."""
+    left, orbits = set(pairs), 0
+    while left:
+        x, z = next(iter(left))
+        left -= {frozenset({x**g, z**g}) for g in G.elements}
+        orbits += 1
+    return orbits
+
+
+def test_regular_scan_tests_one_block_per_orbit(monkeypatch):
+    G = build_table_group(1, "1.6", "Z2^2", 2)
+    inv = [G.elements[i] for i in G.involution_indices()]
+    pairs = {frozenset({x, z}) for a, x in enumerate(inv) for z in inv[a + 1 :] if x * z == z * x}
+    calls = []
+    test = triples.generates
+    monkeypatch.setattr(triples, "generates", lambda H, elems: calls.append(1) or test(H, elems))
+    assert find_any(G, "regular") is None
+    assert (G.order, len(inv), len(pairs)) == (216, 57, 84)  # 4 788 tests unpruned
+    assert len(calls) <= _pair_orbits(G, pairs) * len(inv) == 171
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return PermGroup(degree, [Permutation(g) for g in gens])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_groups())
+def test_searches_match_reference_scans_on_small_groups(G):
+    for kind in KINDS:
+        got = find_any(G, kind)
+        assert (got.elements if got else None) == ref_find_any(G, kind), kind
+        assert exhaustive_search_count(G, kind) == ref_exhaustive(G, kind), kind
 
 
 def test_filled_columns_hold_right_products():
@@ -331,16 +387,16 @@ def ref_o_pi_capped(G, primes):
         return n
 
     cap = G.order // pi_free(G.order)
-    M = G.trivial_subgroup()
+    M, gens = G.trivial_subgroup(), []
     for g, k in zip(G.elements, G.element_orders()):
         if g in M or pi_free(k) != 1:
             continue
         try:
-            J = PermGroup(G.degree, list(M.generators) + [g], cap=cap)
+            J = PermGroup(G.degree, gens + [g], cap=cap)
         except GroupTooLargeError:
             continue
         if pi_free(J.order) == 1:
-            M = J
+            M, gens = J, gens + [g]
     return ref_core_within(G, M)
 
 
