@@ -23,7 +23,7 @@ from .families import (
 from .genfiles import GenFileError, parse_generator_file
 from .groups import DEFAULT_CAP, GroupTooLargeError, PermGroup
 from .maps import MapStructureError, build_map, underlying_graph
-from .structure import recognize, satisfies_hypothesis, sylow
+from .structure import recognize, satisfies_hypothesis
 from .triples import find_any
 from .verify import ALIASES, CLAIMS, run_claims
 
@@ -205,12 +205,10 @@ def cmd_analyze(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     hyp = satisfies_hypothesis(G)
-    sylows = []
-    for w in hyp.witnesses:
-        S = sylow(G, w.prime).group
-        sylows.append(
-            {"prime": w.prime, "order": S.order, "tag": str(recognize(S))}
-        )
+    sylows = [
+        {"prime": w.prime, "order": w.sylow.order, "tag": str(recognize(w.sylow))}
+        for w in hyp.witnesses
+    ]
     data = {
         "order": G.order,
         "degree": G.degree,

@@ -332,15 +332,14 @@ class PermGroup:
             for j in js
         )
 
-    def derived_series(self, cap: int = 20) -> list["PermGroup"]:
+    def derived_series(self) -> list["PermGroup"]:
+        """G, G', G'', ... while the order falls strictly: ends at 1 or a perfect term."""
         series = [self]
-        for _ in range(cap):
+        while series[-1].order > 1:
             nxt = series[-1].commutator_subgroup()
             if nxt.order == series[-1].order:
                 break
             series.append(nxt)
-            if nxt.order == 1:
-                break
         return series
 
     def is_solvable(self) -> bool:

@@ -7,16 +7,18 @@ cyclic or dihedral subgroup of prime index.  Conventions frozen for it:
   index-p subgroup);
 * the Klein four-group counts as dihedral, Z_2 does not.
 
-The largest normal pi-subgroup O_pi(G) is the core of a maximal pi-subgroup
-(`o_pi`); O_p and the odd Hall subgroup of theorem 1.1 are read from it.
-Sylow subgroups still climb normalizers, since their generators feed the
-printed prime-index witnesses.
+One scan of the elements grows a maximal pi-subgroup
+(`maximal_pi_subgroup`).  In a solvable group it is a Hall pi-subgroup
+(`hall_subgroup`), which gives the complements of theorem 1.1, and in any
+group its core is the largest normal pi-subgroup O_pi(G) (`o_pi`, and with
+it O_p).  Sylow subgroups still climb normalizers, since their generators
+feed the printed prime-index witnesses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Optional
 
 from .groups import (
@@ -129,16 +131,14 @@ def _pi_join(
     return added
 
 
-def o_pi(G: PermGroup, primes: Collection[int]) -> PermGroup:
-    """The largest normal pi-subgroup O_pi(G): the core of a maximal pi-subgroup.
+def maximal_pi_subgroup(G: PermGroup, primes: Collection[int]) -> PermGroup:
+    """A maximal pi-subgroup of G, grown in one scan of G.elements.
 
-    O_pi(G) lies in every maximal pi-subgroup M, and the core of M is a normal
-    pi-subgroup, so the two are equal.  M grows in one scan of G.elements:
-    a pi-element joins when every element of the join has pi-order, which
-    by Cauchy's theorem is exactly when the join is a pi-group.  Joins run
-    on element indices and stop at the first element of non-pi order.  A
-    join refused once stays refused as M grows, so the scan ends at a
-    maximal M.
+    A pi-element joins when every element of the join has pi-order, which by
+    Cauchy's theorem is exactly when the join is a pi-group.  Joins run on
+    element indices and stop at the first element of non-pi order.  A join
+    refused once stays refused as the subgroup grows, so the scan ends at a
+    maximal pi-subgroup.
     """
     pi_order = [_is_pi(k, primes) for k in G.element_orders()]
     accepted: list[int] = []
@@ -154,7 +154,28 @@ def o_pi(G: PermGroup, primes: Collection[int]) -> PermGroup:
             members += added
             for a in added:
                 in_m[a] = 1
-    return core_within(G, G.subgroup([G.elements[i] for i in accepted]))
+    return G.subgroup([G.elements[i] for i in accepted])
+
+
+def o_pi(G: PermGroup, primes: Collection[int]) -> PermGroup:
+    """The largest normal pi-subgroup O_pi(G): the core of a maximal pi-subgroup.
+
+    O_pi(G) lies in every maximal pi-subgroup M, and the core of M is a normal
+    pi-subgroup, so the two are equal.
+    """
+    return core_within(G, maximal_pi_subgroup(G, primes))
+
+
+def hall_subgroup(G: PermGroup, primes: Collection[int]) -> PermGroup:
+    """A Hall pi-subgroup of a solvable group G, of order |G|_pi.
+
+    In a solvable group every pi-subgroup lies in a Hall pi-subgroup
+    (P. Hall), so a maximal pi-subgroup is one.  Other groups raise
+    ValueError rather than return a maximal pi-subgroup of smaller order.
+    """
+    if not G.is_solvable():
+        raise ValueError("Hall subgroups are computed for solvable groups only")
+    return G if _is_pi(G.order, primes) else maximal_pi_subgroup(G, primes)
 
 
 def o_p(G: PermGroup, p: int) -> PermGroup:
@@ -305,6 +326,8 @@ class PrimeWitness:
     witness_kind: Optional[str] = None  # "trivial" | "cyclic" | "dihedral"
     witness_gens: tuple[str, ...] = ()
     candidates_tried: int = 0
+    # the Sylow subgroup examined, kept for callers and left out of records
+    sylow: Optional[PermGroup] = field(default=None, compare=False, repr=False)
 
     def to_record(self) -> dict:
         return {
@@ -339,7 +362,7 @@ def satisfies_hypothesis(G: PermGroup) -> HypothesisReport:
         S = sylow(G, p).group
         if S.order == p:
             witnesses.append(
-                PrimeWitness(p, S.order, True, "trivial", ("()",), 1)
+                PrimeWitness(p, S.order, True, "trivial", ("()",), 1, S)
             )
             continue
         maximals = maximal_subgroups_p_group(S, p)
@@ -356,7 +379,7 @@ def satisfies_hypothesis(G: PermGroup) -> HypothesisReport:
                     break
         if found is None:
             ok = False
-            witnesses.append(PrimeWitness(p, S.order, False, None, (), len(maximals)))
+            witnesses.append(PrimeWitness(p, S.order, False, None, (), len(maximals), S))
         else:
             witnesses.append(
                 PrimeWitness(
@@ -366,6 +389,7 @@ def satisfies_hypothesis(G: PermGroup) -> HypothesisReport:
                     kind,
                     tuple(g.cycle_string() for g in found.generators),
                     len(maximals),
+                    S,
                 )
             )
     return HypothesisReport(ok, tuple(witnesses))

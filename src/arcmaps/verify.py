@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Callable, Optional
 
 from .families import (
@@ -55,6 +56,7 @@ from .structure import (
     o_p,
     o_pi,
     fitting,
+    hall_subgroup,
     satisfies_hypothesis,
     sylow,
 )
@@ -302,10 +304,11 @@ def verify_fitting_catalog(lmax: int = 2) -> VerificationReport:
             G = _f_colon_group(column, with_s3)
             fit = fitting(G)
             name = f"{column}:{'S3' if with_s3 else 'Z3'}"
-            ok = satisfies_hypothesis(G).ok and fit.order == f_order
+            hyp = satisfies_hypothesis(G)
+            ok = hyp.ok and fit.order == f_order
             info = {"order": G.order, "fitting_order": fit.order}
             if with_s3:
-                S2 = sylow(G, 2).group
+                S2 = next(w.sylow for w in hyp.witnesses if w.prime == 2)
                 from .structure import maximal_subgroups_p_group
 
                 want = witness_kind[column]
@@ -397,48 +400,15 @@ def verify_237_split(lmax: int = 2) -> VerificationReport:
     checks.append(
         CheckResult("K7 and K3 are not normal", not G.is_normal(K7) and not G.is_normal(K3), {})
     )
-    comp = _find_complement(G, 21)
+    comp = hall_subgroup(G, (3, 7))
     checks.append(
         CheckResult(
             "a Hall {3,7} complement exists",
-            comp is not None and intersection(comp, K2).order == 1,
-            {"complement_order": comp.order if comp else None},
+            comp.order == 21 and intersection(comp, K2).order == 1,
+            {"complement_order": comp.order},
         )
     )
     return _finish("lemma-5.7", checks, {"instances": len(checks)}, t0)
-
-
-def _find_complement(G: PermGroup, q: int) -> Optional[PermGroup]:
-    """A subgroup of order q, with q coprime to G.order // q, found by search.
-
-    Any such subgroup has full p-part for each p | q, and since complements
-    come in conjugacy families one of them contains the one Sylow subgroup
-    this module computes; the search therefore seeds with that Sylow
-    subgroup and extends by one or two q-compatible elements.
-    """
-    if q == 1:
-        return G.trivial_subgroup()
-    if q == G.order:
-        return G
-    p0 = max(p for p in G.prime_divisors() if q % p == 0)
-    S = sylow(G, p0).group
-    base = list(S.generators)
-    if S.order == q:
-        return S
-    cands = [
-        g for g in G.elements if q % g.order() == 0 and not g.is_identity() and g not in S
-    ]
-    for i, a in enumerate(cands):
-        H = G.subgroup(base + [a])
-        if H.order == q:
-            return H
-        if q % H.order:
-            continue
-        for b in cands[i + 1 :]:
-            H2 = G.subgroup(base + [a, b])
-            if H2.order == q:
-                return H2
-    return None
 
 
 # -- quotient behavior of generating data ---------------------------------------------
@@ -629,8 +599,6 @@ def _largest_odd_hall(G: PermGroup) -> PermGroup:
     full p-part of |G|: no normal odd Hall subgroup can involve such a prime
     (it would sit inside the odd core with a bigger p-part).
     """
-    from math import gcd
-
     primes = {p for p in G.prime_divisors() if p != 2}
     while True:
         H = o_pi(G, primes)
@@ -663,31 +631,32 @@ class Decomposition:
 def find_decomposition(G: PermGroup) -> Optional[Decomposition]:
     """G = (A:B):K with A abelian avoiding Z(H), B nilpotent, K a coprime complement.
 
-    H is the largest normal odd-order Hall subgroup.  Search is by normal
-    closures of single elements inside H, largest abelian candidates first;
-    exhaustion is reported as None (a completeness limitation, not a proof
-    of non-existence).
+    G must be solvable (`hall_subgroup` raises ValueError otherwise).  H is
+    the largest normal odd-order Hall subgroup and K the Hall subgroup for
+    the primes of |G:H|, so the complement is exact.  A is sought among the
+    normal closures of single elements inside H that are abelian and meet
+    Z(H) trivially, the first of each order, largest first.  A candidate
+    whose order is not coprime to its index in H is skipped; otherwise B is
+    the Hall subgroup of H for the primes of |H:A|.  None means that search
+    found nothing: a limit of the A search, not a proof of non-existence.
     """
     H = _largest_odd_hall(G)
-    K = G if H.order == 1 else _find_complement(G, G.order // H.order)
-    if K is None:
-        return None
+    q = G.order // H.order
+    K = hall_subgroup(G, [p for p in G.prime_divisors() if q % p == 0])
     if H.order == 1:
         triv = G.trivial_subgroup()
         return Decomposition(H, K, triv, H)
     z_h = H.center()
     candidates = {1: H.trivial_subgroup()}
-    for g in H.elements:
-        if g.is_identity():
-            continue
-        N = H.normal_closure([g])
+    for N in _normal_subgroups_small(H):
         if N.is_abelian() and intersection(N, z_h).order == 1:
             candidates.setdefault(N.order, N)
     for order in sorted(candidates, reverse=True):
         A = candidates[order]
-        B = _find_complement(H, H.order // A.order) if A.order > 1 else H
-        if B is None:
+        index = H.order // order
+        if gcd(order, index) != 1:
             continue
+        B = hall_subgroup(H, [p for p in H.prime_divisors() if index % p == 0])
         if not is_nilpotent(B):
             continue
         if A.order > 1 and not H.is_normal(A):
@@ -722,8 +691,6 @@ def verify_decomposition_instances(lmax: int = 2) -> VerificationReport:
     instances.append(
         ("(Z7:Z3)xS4", direct_product(frobenius_group(7, 3), symmetric_group(4)).group)
     )
-    from math import gcd
-
     for name, G in instances:
         if not satisfies_hypothesis(G).ok or not G.is_solvable():
             checks.append(CheckResult(name, False, {"precondition": "failed"}))

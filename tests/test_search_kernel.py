@@ -9,9 +9,10 @@ work is bounded by the number of G-orbits of its blocks.  `extend_hom`
 and `coset_labels` are compared with the breadth-first extension and the
 stack orbit under H's generators that they replace.  `o_pi` is compared
 with the join of normal closures of pi-elements, with the capped-closure
-scan it replaces and with the core of a Sylow subgroup, and
-`normal_closure` with the round-based closure it replaces and with sympy's
-normal closure.  `core_within` and `normalizer` are compared with the
+scan it replaces and with the core of a Sylow subgroup, `hall_subgroup`
+with the pi-part of |G| and sympy's order, and `normal_closure` with the
+round-based closure it replaces and with sympy's normal closure.
+`core_within` and `normalizer` are compared with the
 Permutation-product loops they replace, `is_normal` and `center` with
 sympy, and the conjugation tables with `**`.
 """
@@ -20,9 +21,7 @@ import itertools
 import random
 
 import pytest
-
-sympy_pg = pytest.importorskip("sympy.combinatorics")
-pytest.importorskip("hypothesis")
+import sympy.combinatorics as sympy_pg
 from hypothesis import given, settings, strategies as st
 
 from test_properties import random_groups
@@ -39,7 +38,7 @@ from arcmaps import groups, triples
 from arcmaps.groups import GroupTooLargeError, PermGroup, core_within, extend_hom, group_from_elements
 from arcmaps.perms import Permutation
 from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
-from arcmaps.structure import o_p, o_pi, sylow
+from arcmaps.structure import hall_subgroup, o_p, o_pi, sylow
 from arcmaps.triples import KINDS, exhaustive_search_count, find_any, generates
 from arcmaps.verify import _k_groups_regular, _k_groups_rotary, z4_circ_gl23
 
@@ -477,6 +476,32 @@ def test_o_pi_matches_capped_closure_scan(pi_corpus):
         for r in range(len(primes) + 1):
             for pi in itertools.combinations(primes, r):
                 assert _same(o_pi(G, pi), ref_o_pi_capped(G, pi)), (G, pi)
+
+
+def _pi_part(n, pi):
+    part = 1
+    for p in pi:
+        while n % p == 0:
+            n //= p
+            part *= p
+    return part
+
+
+def test_hall_subgroups_have_the_pi_part_and_agree_with_sympy(pi_corpus):
+    subsets = non_solvable = 0
+    for G in pi_corpus:
+        primes = G.prime_divisors()
+        if not G.is_solvable():
+            non_solvable += 1
+            with pytest.raises(ValueError):
+                hall_subgroup(G, primes[:1])
+            continue
+        for r in range(len(primes) + 1):
+            for pi in itertools.combinations(primes, r):
+                got = hall_subgroup(G, pi)
+                assert got.order == _pi_part(G.order, pi) == _sym(got).order(), (G, pi)
+                subsets += 1
+    assert (subsets, non_solvable) == (166, 4)
 
 
 def test_core_and_normalizer_match_product_loops(pi_corpus, monkeypatch):

@@ -3,11 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from arcmaps.standard import cyclic_group, frobenius_group, symmetric_group
-from arcmaps.structure import o_pi
+from arcmaps.groups import intersection
+from arcmaps.products import direct_product
+from arcmaps.standard import (
+    alternating_group,
+    cyclic_group,
+    elementary_abelian,
+    frobenius_group,
+    symmetric_group,
+)
+from arcmaps.structure import hall_subgroup, o_pi
 from arcmaps.verify import (
     CLAIMS,
-    _find_complement,
     find_decomposition,
     run_claims,
     verify_decomposition_instances,
@@ -78,8 +85,8 @@ def test_odd_core_and_complement():
     assert H.order == 21
     G2 = symmetric_group(4)
     assert o_pi(G2, (3,)).order == 1
-    K = _find_complement(frobenius_group(7, 3), 3)
-    assert K is not None and K.order == 3
+    K = hall_subgroup(frobenius_group(7, 3), (3,))
+    assert K.order == 3
 
 
 def test_find_decomposition_frobenius():
@@ -87,6 +94,20 @@ def test_find_decomposition_frobenius():
     dec = find_decomposition(G)
     assert dec is not None
     assert (dec.A.order, dec.B.order, dec.K.order) == (7, 3, 1)
+
+
+def test_find_decomposition_complement_needs_three_involution_generators():
+    # K = A4 x Z2^3: no Sylow 3-subgroup plus two elements generates it, since
+    # its abelianization Z3 x Z2^3 needs three generators of order 2
+    G = direct_product(
+        direct_product(cyclic_group(5), alternating_group(4)).group,
+        elementary_abelian(2, 3),
+    ).group
+    assert (G.order, G.degree, G.is_solvable()) == (480, 15, True)
+    dec = find_decomposition(G)
+    assert dec is not None
+    assert (dec.H.order, dec.K.order, dec.A.order, dec.B.order) == (5, 96, 1, 5)
+    assert intersection(dec.K, dec.H).order == 1
 
 
 def test_find_decomposition_coprime_abelian():
