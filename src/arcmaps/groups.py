@@ -91,6 +91,7 @@ class PermGroup:
         "_columns",
         "_conj",
         "_abelian",
+        "_solvable",
     )
 
     def __init__(
@@ -117,6 +118,7 @@ class PermGroup:
         self._columns: dict[int, array] = {}
         self._conj: dict[int, array] = {}
         self._abelian: Optional[bool] = None
+        self._solvable: Optional[bool] = None
 
     @property
     def order(self) -> int:
@@ -261,7 +263,7 @@ class PermGroup:
             reps.append(i)
             gi = g.images
             for h in H.elements:
-                labels[index[tuple(gi[x] for x in h.images)]] = cid
+                labels[index[tuple([gi[x] for x in h.images])]] = cid
         return labels, reps
 
     # -- standard subgroup constructions ---------------------------------------------
@@ -343,7 +345,9 @@ class PermGroup:
         return series
 
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].order == 1
+        if self._solvable is None:
+            self._solvable = self.derived_series()[-1].order == 1
+        return self._solvable
 
     # -- quotients -----------------------------------------------------------------
 
@@ -468,11 +472,21 @@ def intersection(A: PermGroup, B: PermGroup) -> PermGroup:
 def core_within(G: PermGroup, H: PermGroup) -> PermGroup:
     """Largest subgroup of H normal in G, H itself when H is normal.
 
-    H's element indices are cut down by K := K ∩ K^(g^-1) over the generators
-    g of G, read from the conjugation tables, until no generator removes an
-    element; the group is built once, from what is left.
+    The group is built once, from the indices `core_indices` leaves.
     """
-    ks = [G.index_of(h) for h in H.elements]
+    ks = core_indices(G, [G.index_of(h) for h in H.elements])
+    if len(ks) == H.order:
+        return H
+    return group_from_elements(G.degree, [G.elements[a] for a in ks])
+
+
+def core_indices(G: PermGroup, ks: list[int]) -> list[int]:
+    """Element indices of the core in G of the subgroup whose indices are ks.
+
+    The list is cut down by K := K ∩ K^(g^-1) over the generators g of G,
+    read from the conjugation tables, until no generator removes an element;
+    the indices left keep their order in ks.
+    """
     mask = bytearray(G.order)
     for a in ks:
         mask[a] = 1
@@ -486,6 +500,4 @@ def core_within(G: PermGroup, H: PermGroup) -> PermGroup:
                 for a in kept:
                     mask[a] = 1
                 ks, changed = kept, True
-    if len(ks) == H.order:
-        return H
-    return group_from_elements(G.degree, [G.elements[a] for a in ks])
+    return ks

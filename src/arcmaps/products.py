@@ -11,22 +11,19 @@ closure of the map's graph, so this module holds no closure loop of its own.
 Central products are formed as (A x B)/C for the diagonal central subgroup C
 and come back as the coset action (the regular action of the quotient),
 optionally recompressed to a smaller faithful action found by a greedy
-multi-coset-space search.
+multi-coset-space search.  That search runs on the quotient's element
+indices: cyclic subgroups are power chains, their cores come from
+`groups.core_indices` and the running kernel is a mask, so a subgroup is
+closed only for each coset space chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Optional, Sequence
 
-from .groups import (
-    DEFAULT_CAP,
-    PermGroup,
-    core_within,
-    extend_hom,
-    group_from_elements,
-    intersection,
-)
+from .groups import DEFAULT_CAP, PermGroup, core_indices, extend_hom
 from .perms import Permutation
 
 COMPRESS_DEGREE_THRESHOLD = 64
@@ -191,36 +188,41 @@ def faithful_coset_actions(G: PermGroup) -> Optional[Callable[[Permutation], Per
     """Greedy search for a faithful action on a union of coset spaces.
 
     Candidate point stabilizers are the distinct cyclic subgroups, largest
-    first; spaces are added while they shrink the running kernel.  Returns a
-    map old-element -> new permutation, or None if no strictly smaller
-    faithful union was found.
+    first, each the power chain of its first element in enumeration order;
+    spaces are added while their cores shrink the running kernel, an index
+    mask.  Returns a map old-element -> new permutation, or None if no
+    strictly smaller faithful union was found.
     """
-    seen: set[frozenset] = set()
-    candidates: list[PermGroup] = []
-    for g in G.elements:
-        if g.is_identity():
+    covered = bytearray(G.order)
+    candidates: list[list[int]] = []  # power chains g, g^2, ..., identity
+    for i in range(1, G.order):
+        if covered[i]:
             continue
-        H = G.subgroup([g])
-        key = frozenset(h.images for h in H.elements)
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append(H)
-    candidates.sort(key=lambda H: (-H.order, H.generators[0].images))
+        chain = [i]
+        while chain[-1] != 0:
+            chain.append(G._mul_index(chain[-1], i))
+        for e, a in enumerate(chain, 1):  # a = g^e generates <g> when gcd(e, |g|) = 1
+            if gcd(e, len(chain)) == 1:
+                covered[a] = 1
+        candidates.append(chain)
+    candidates.sort(key=lambda c: (-len(c), G.elements[c[0]].images))
 
-    kernel = G
+    kernel = bytearray(b"\x01") * G.order
+    size = G.order
     chosen: list[PermGroup] = []
     total_degree = 0
-    for H in candidates:
-        core = core_within(G, H)
-        new_kernel = intersection(kernel, core)
-        if new_kernel.order < kernel.order:
-            chosen.append(H)
-            kernel = new_kernel
-            total_degree += G.order // H.order
-            if kernel.order == 1:
+    for chain in candidates:
+        common = [a for a in core_indices(G, chain) if kernel[a]]
+        if len(common) < size:
+            chosen.append(G.subgroup([G.elements[chain[0]]]))
+            kernel = bytearray(G.order)
+            for a in common:
+                kernel[a] = 1
+            size = len(common)
+            total_degree += G.order // len(chain)
+            if size == 1:
                 break
-    if kernel.order != 1 or total_degree >= G.degree:
+    if size != 1 or total_degree >= G.degree:
         return None
 
     tables = [G.coset_labels(H) for H in chosen]

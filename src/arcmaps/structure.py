@@ -348,6 +348,10 @@ class HypothesisReport:
     def to_record(self) -> dict:
         return {"ok": self.ok, "per_prime": [w.to_record() for w in self.witnesses]}
 
+    def sylow_of(self, p: int) -> PermGroup:
+        """The Sylow p-subgroup examined for the prime p."""
+        return next(w.sylow for w in self.witnesses if w.prime == p)
+
 
 def satisfies_hypothesis(G: PermGroup) -> HypothesisReport:
     """Does every Sylow subgroup have a cyclic or dihedral subgroup of prime index?

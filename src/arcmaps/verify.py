@@ -164,9 +164,9 @@ def verify_largest_prime_normal(lmax: int = 2) -> VerificationReport:
         ),
     ]
     for name, G, p in instances:
-        hyp = satisfies_hypothesis(G).ok
-        S = sylow(G, p).group
-        ok = hyp and G.order % 2 == 1 and G.is_normal(S)
+        hyp = satisfies_hypothesis(G)
+        S = hyp.sylow_of(p)
+        ok = hyp.ok and G.order % 2 == 1 and G.is_normal(S)
         checks.append(CheckResult(name, ok, {"p": p, "sylow_order": S.order}))
     return _finish("lemma-5.1", checks, {"instances": len(checks)}, t0)
 
@@ -308,7 +308,7 @@ def verify_fitting_catalog(lmax: int = 2) -> VerificationReport:
             ok = hyp.ok and fit.order == f_order
             info = {"order": G.order, "fitting_order": fit.order}
             if with_s3:
-                S2 = next(w.sylow for w in hyp.witnesses if w.prime == 2)
+                S2 = hyp.sylow_of(2)
                 from .structure import maximal_subgroups_p_group
 
                 want = witness_kind[column]
@@ -392,11 +392,12 @@ def verify_237_split(lmax: int = 2) -> VerificationReport:
     m3 = [g[0], g[2], g[1] * g[2]]
     frob = frobenius_group(7, 3, 2)
     G = semidirect_product(E, frob, [m7, m3]).group
-    checks.append(CheckResult("hypothesis", satisfies_hypothesis(G).ok, {"order": G.order}))
-    K2 = sylow(G, 2).group
+    hyp = satisfies_hypothesis(G)
+    checks.append(CheckResult("hypothesis", hyp.ok, {"order": G.order}))
+    K2 = hyp.sylow_of(2)
     checks.append(CheckResult("K2 = Z2^3 normal", G.is_normal(K2) and K2.order == 8, {}))
-    K7 = sylow(G, 7).group
-    K3 = sylow(G, 3).group
+    K7 = hyp.sylow_of(7)
+    K3 = hyp.sylow_of(3)
     checks.append(
         CheckResult("K7 and K3 are not normal", not G.is_normal(K7) and not G.is_normal(K3), {})
     )

@@ -135,6 +135,22 @@ def test_commutator_subgroup_contains_twisted_cyclic_part():
     assert D.order == 5
 
 
+def test_is_solvable_is_computed_once(monkeypatch):
+    calls = []
+    commutator_subgroup = PermGroup.commutator_subgroup
+
+    def spy(self):
+        calls.append(self)
+        return commutator_subgroup(self)
+
+    monkeypatch.setattr(PermGroup, "commutator_subgroup", spy)
+    for G, solvable in ((symmetric_group(4), True), (symmetric_group(5), False)):
+        calls.clear()
+        assert G.is_solvable() is solvable and calls
+        calls.clear()
+        assert G.is_solvable() is solvable and not calls
+
+
 def test_commutator_subgroup_s4():
     G = symmetric_group(4)
     D = G.commutator_subgroup()

@@ -14,7 +14,9 @@ with the pi-part of |G| and sympy's order, and `normal_closure` with the
 round-based closure it replaces and with sympy's normal closure.
 `core_within` and `normalizer` are compared with the
 Permutation-product loops they replace, `is_normal` and `center` with
-sympy, and the conjugation tables with `**`.
+sympy, and the conjugation tables with `**`.  The compression search of
+`faithful_coset_actions` is compared with the subgroup search it replaces
+on the uncompressed central products of Tables 1-2 and on the corpus.
 """
 
 import itertools
@@ -34,7 +36,7 @@ from arcmaps.families import (
     build_table_group,
     table_min_ell,
 )
-from arcmaps import groups, triples
+from arcmaps import families, groups, products, triples, verify
 from arcmaps.groups import GroupTooLargeError, PermGroup, core_within, extend_hom, group_from_elements
 from arcmaps.perms import Permutation
 from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
@@ -549,3 +551,95 @@ def test_conjugation_tables_hold_conjugates():
                 assert G._conj_index(a, j) == G.index_of(e**g), (G, a, j)
         assert sorted(G._conj) == list(range(len(G.generators)))
         assert all(min(t) >= 0 for t in G._conj.values())
+
+
+def ref_faithful_coset_actions(G):
+    """The greedy compression search on subgroups: one closure per element,
+    deduplicated by element set, and the kernel intersected as a group."""
+    seen = set()
+    candidates = []
+    for g in G.elements:
+        if g.is_identity():
+            continue
+        H = G.subgroup([g])
+        key = frozenset(h.images for h in H.elements)
+        if key in seen:
+            continue
+        seen.add(key)
+        candidates.append(H)
+    candidates.sort(key=lambda H: (-H.order, H.generators[0].images))
+    kernel, chosen, total_degree = G, [], 0
+    for H in candidates:
+        new_kernel = groups.intersection(kernel, ref_core_within(G, H))
+        if new_kernel.order < kernel.order:
+            chosen.append(H)
+            kernel = new_kernel
+            total_degree += G.order // H.order
+            if kernel.order == 1:
+                break
+    if kernel.order != 1 or total_degree >= G.degree:
+        return None
+    tables = [ref_coset_labels(G, H) for H in chosen]
+
+    def act(g):
+        images, offset = [], 0
+        for labels, reps in tables:
+            images += [offset + labels[G.index_of(G.elements[r] * g)] for r in reps]
+            offset += len(reps)
+        return Permutation._make(tuple(images))
+
+    return act
+
+
+@pytest.fixture(scope="module")
+def central_quotients():
+    """The uncompressed quotient of every central product that the Table 1-2
+    builders at ell = 1 and `z4_circ_gl23` form, Z4 o GL(2,3)'s first."""
+    quotients = []
+
+    def record(*args, **kwargs):
+        quotients.append(products.central_product(*args, **kwargs, compress_result=False).group)
+        return products.central_product(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "central_product", record)
+        mp.setattr(verify, "central_product", record)
+        z4_circ_gl23()
+        for table, cases, cols in ((1, TABLE1_CASES, TABLE1_COLUMNS), (2, TABLE2_CASES, TABLE2_COLUMNS)):
+            for case in cases:
+                if table_min_ell(table, case) == 1:
+                    for col in cols:
+                        build_table_group(table, case, col, 1)
+    return quotients
+
+
+def test_compression_search_matches_subgroup_search(central_quotients, pi_corpus):
+    outcomes = []
+    for G in central_quotients + pi_corpus:
+        got, want = products.faithful_coset_actions(G), ref_faithful_coset_actions(G)
+        assert (got is None) == (want is None), G
+        if got is not None:
+            assert [got(g) for g in G.generators] == [want(g) for g in G.generators], G
+        outcomes.append(got is None)
+    assert len(central_quotients) == 11
+    assert not any(outcomes[: len(central_quotients)]) and any(outcomes)
+
+
+def test_compression_builds_one_group_per_chosen_space(central_quotients, monkeypatch):
+    built, labelled = [], []
+    init, coset_labels = PermGroup.__init__, PermGroup.coset_labels
+
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def spy_labels(self, H):
+        labelled.append(H)
+        return coset_labels(self, H)
+
+    monkeypatch.setattr(PermGroup, "__init__", spy_init)
+    monkeypatch.setattr(PermGroup, "coset_labels", spy_labels)
+    Q = central_quotients[0]  # Z4 o GL(2,3) as the regular action of order 96
+    act = products.faithful_coset_actions(Q)
+    assert Q.order == Q.degree == 96 and act(Q.identity).degree == 52
+    assert built == labelled and len(built) == 3

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from arcmaps import structure, verify
 from arcmaps.groups import intersection
 from arcmaps.products import direct_product
 from arcmaps.standard import (
@@ -77,6 +78,22 @@ def test_two_group_audit_flags_q8z4():
     rep = verify_two_group_audit(1)
     entry = [c for c in rep.checks if c.name == "case 2.3 ell=1"][0]
     assert entry.info["got"] == [True, False, False]  # reversing yes, regular no, rotary no
+
+
+def test_sylow_claims_take_sylow_subgroups_from_the_hypothesis(monkeypatch):
+    primes = []
+    sylow = structure.sylow
+
+    def spy(G, p):
+        primes.append(p)
+        return sylow(G, p)
+
+    monkeypatch.setattr(structure, "sylow", spy)
+    monkeypatch.setattr(verify, "sylow", spy)
+    for claim, want in (("lemma-5.1", [7, 3, 13, 3, 5, 3, 7, 5, 3]), ("lemma-5.7", [2, 3, 7])):
+        primes.clear()
+        assert run_claims(claim, lmax=1)[0].ok
+        assert sorted(primes) == sorted(want), claim
 
 
 def test_odd_core_and_complement():
