@@ -1,11 +1,14 @@
 """Parametric builders for the group families behind the map constructions.
 
-Everything grows out of the wreath square W(n) = (D_2n x D_2n) : Z_2, realized
-on two n-gon blocks with the outer involution swapping them.  The three map
-families C31, C33, C34 pick subgroups of W(n) together with a verified regular
-triple; the 2-group and odd-p catalogs and the two case tables are assembled
-from the product constructors.  Builders return named elements so formulas
-like y = a b s t transcribe literally.
+Everything grows out of the wreath square W(n) = (D_2n x D_2n) : Z_2, the
+`products.wreath_by_s2` of D_2n: two n-gon blocks with the outer involution
+swapping them.  The three map families C31, C33, C34 pick subgroups of W(n)
+together with a verified regular triple; the 2-group and odd-p catalogs and
+the two case tables are assembled from the product constructors.  Each
+catalog group is built here once, and `verify` reuses these builders, so a
+group's generators, degree and element order are decided in one place.
+Builders return named elements so formulas like y = a b s t transcribe
+literally.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from .products import (
     central_product,
     direct_product,
     semidirect_product,
+    wreath_by_s2,
 )
 from .standard import (
     alternating_group,
     cyclic_group,
-    dihedral_gens,
     dihedral_group,
     dihedral_times_z2,
     dihedral_twist,
@@ -58,27 +61,14 @@ class FamilyInstance:
 def wreath_square(n: int, cap: int = DEFAULT_CAP) -> tuple[PermGroup, dict]:
     """(D_2n x D_2n) : Z_2 of order 8 n^2 with named elements a, s, b, t, sigma.
 
-    Acts on two blocks: a, s rotate/reflect the first, b, t the second, and
-    sigma swaps the blocks, so (a, s) ** sigma == (b, t).
+    The `wreath_by_s2` of D_2n: a, s rotate/reflect the first block, b, t
+    the second, and sigma swaps the blocks, so (a, s) ** sigma == (b, t).
     """
     if n < 2:
         raise FamilyParameterError("wreath square needs n >= 2")
-    d, rot, refl = dihedral_gens(n)
-    pad = lambda p, before, after: Permutation._make(
-        tuple(range(before))
-        + tuple(x + before for x in p.images)
-        + tuple(range(before + p.degree, before + p.degree + after))
-    )
-    a = pad(rot, 0, d)
-    s = pad(refl, 0, d)
-    b = pad(rot, d, 0)
-    t = pad(refl, d, 0)
-    sigma = Permutation._make(tuple((x + d) % (2 * d) for x in range(2 * d)))
-    X = generate(2 * d, [a, s, b, t, sigma], cap=cap)
-    if X.order != 8 * n * n:
-        raise AssertionError(f"wreath square order {X.order} != {8 * n * n}")
-    names = {"a": a, "s": s, "b": b, "t": t, "sigma": sigma}
-    return X, names
+    W = wreath_by_s2(dihedral_group(n), cap=cap)
+    (a, s), (b, t) = W.first_gens, W.second_gens
+    return W.group, {"a": a, "s": s, "b": b, "t": t, "sigma": W.swap}
 
 
 def check_family_parameter(family: str, n: int) -> Optional[str]:
@@ -421,18 +411,22 @@ def expected_table_order(table: int, case: str, column: str, ell: int) -> int:
     return base if column == "Z2^2,Z2^3" else 2 * base
 
 
+def _table1_entry(B: PermGroup, roles: list[str], column: str) -> PermGroup:
+    """F:B for F the column's 2-group (Z4 o (Q8:B) for Z4oQ8), B acting by roles."""
+    if column in ("Z2^2", "Z2^3"):
+        F, sigma3, tau = _klein_auts(2 if column == "Z2^2" else 3)
+        return _semidirect_by_roles(F, sigma3, tau, B, roles).group
+    Q, sigma3, tau = _quaternion_auts()
+    model = _semidirect_by_roles(Q, sigma3, tau, B, roles)
+    if column == "Q8":
+        return model.group
+    return _z4_circ(model.group, model.left_gens[0] ** 2)
+
+
 def _build_table_entry(table: int, case: str, column: str, ell: int) -> PermGroup:
     if table == 1:
         B, roles = _table1_acting_group(case, ell)
-        if column in ("Z2^2", "Z2^3"):
-            F, sigma3, tau = _klein_auts(2 if column == "Z2^2" else 3)
-            return _semidirect_by_roles(F, sigma3, tau, B, roles).group
-        Q, sigma3, tau = _quaternion_auts()
-        model = _semidirect_by_roles(Q, sigma3, tau, B, roles)
-        if column == "Q8":
-            return model.group
-        minus1 = model.left_gens[0] ** 2
-        return _z4_circ(model.group, minus1)
+        return _table1_entry(B, roles, column)
 
     # Table 2
     first = column == "Z2^2,Z2^3"

@@ -162,6 +162,14 @@ class PermGroup:
             col[a] = b
         return b
 
+    def _powers(self, i: int) -> list[int]:
+        """Indices of elements[i], its square, ..., the identity; the length
+        is the element's order."""
+        chain = [i]
+        while chain[-1] != 0:
+            chain.append(self._mul_index(chain[-1], i))
+        return chain
+
     # -- conjugation tables ----------------------------------------------------------
 
     def _conj_index(self, a: int, j: int) -> int:
@@ -356,15 +364,10 @@ class PermGroup:
             raise NotNormalError("quotient requires a normal subgroup")
         labels, reps = self.coset_labels(N)
         n_cosets = len(reps)
-        index = self._index
-        elems = self.elements
-
-        def project_images(g: Permutation) -> tuple:
-            return tuple(
-                labels[index[(elems[r] * g).images]] for r in reps
-            )
-
-        qgens = [Permutation._make(project_images(g)) for g in self.generators]
+        qgens = [
+            Permutation._make(coset_images(self, labels, reps, g))
+            for g in self.generators
+        ]
         qgroup = PermGroup(n_cosets, qgens, cap=n_cosets + 1)
         if qgroup.order * N.order != self.order:
             raise AssertionError("quotient order law violated")
@@ -389,13 +392,16 @@ class QuotientGroup:
         """Image of a parent element in the coset action."""
         if g not in self.parent:
             raise NotASubgroupError("cannot project a non-member")
-        parent = self.parent
-        return Permutation._make(
-            tuple(
-                self.labels[parent.index_of(parent.elements[r] * g)]
-                for r in self.reps
-            )
-        )
+        return Permutation._make(coset_images(self.parent, self.labels, self.reps, g))
+
+
+def coset_images(
+    G: PermGroup, labels: Sequence[int], reps: Sequence[int], g: Permutation
+) -> tuple[int, ...]:
+    """g acting on the right cosets that `coset_labels` returned as (labels,
+    reps): entry c is the label of the coset holding elements[reps[c]] * g."""
+    index, elems = G._index, G.elements
+    return tuple(labels[index[(elems[r] * g).images]] for r in reps)
 
 
 def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:

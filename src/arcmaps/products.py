@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Optional, Sequence
 
-from .groups import DEFAULT_CAP, PermGroup, core_indices, extend_hom
+from .groups import DEFAULT_CAP, PermGroup, core_indices, coset_images, extend_hom
 from .perms import Permutation
 
 COMPRESS_DEGREE_THRESHOLD = 64
@@ -53,12 +53,12 @@ def _pad(p: Permutation, before: int, after: int) -> Permutation:
     return Permutation._make(images)
 
 
-def direct_product(A: PermGroup, B: PermGroup, cap: int = DEFAULT_CAP) -> ProductModel:
+def direct_product(A: PermGroup, B: PermGroup) -> ProductModel:
     """A x B acting on the disjoint union of the two point sets."""
     da, db = A.degree, B.degree
     left = [_pad(g, 0, db) for g in A.generators]
     right = [_pad(g, da, 0) for g in B.generators]
-    G = PermGroup(da + db, left + right, cap=cap)
+    G = PermGroup(da + db, left + right)
     if G.order != A.order * B.order:
         raise AssertionError("direct product order mismatch")
     return ProductModel(G, tuple(left), tuple(right))
@@ -98,7 +98,6 @@ def semidirect_product(
     A: PermGroup,
     B: PermGroup,
     action: Sequence[Sequence[Permutation]],
-    cap: int = DEFAULT_CAP,
 ) -> ProductModel:
     """A:B where action[j] lists the images of A's generators under B's j-th generator.
 
@@ -116,7 +115,7 @@ def semidirect_product(
         aut = _aut_perm(A, phis[j])
         images = aut.images + tuple(x + da for x in b.images)
         right.append(Permutation._make(images))
-    G = PermGroup(da + db, left + right, cap=cap)
+    G = PermGroup(da + db, left + right)
     if G.order != A.order * B.order:
         raise AssertionError(
             f"semidirect order mismatch: {G.order} != {A.order * B.order}"
@@ -128,7 +127,6 @@ def central_product(
     A: PermGroup,
     B: PermGroup,
     identify: Sequence[tuple[Permutation, Permutation]],
-    cap: int = DEFAULT_CAP,
     compress_result: bool = True,
 ) -> ProductModel:
     """(A x B)/C for C the graph of an isomorphism between central subgroups.
@@ -136,7 +134,7 @@ def central_product(
     identify lists generator pairs (c, phi(c)) with c central in A and phi(c)
     central in B; the diagonal subgroup C = {(c, phi(c))} is factored out.
     """
-    D = direct_product(A, B, cap=cap)
+    D = direct_product(A, B)
 
     def embed_left(a: Permutation) -> Permutation:
         return _pad(a, 0, B.degree)
@@ -198,9 +196,7 @@ def faithful_coset_actions(G: PermGroup) -> Optional[Callable[[Permutation], Per
     for i in range(1, G.order):
         if covered[i]:
             continue
-        chain = [i]
-        while chain[-1] != 0:
-            chain.append(G._mul_index(chain[-1], i))
+        chain = G._powers(i)
         for e, a in enumerate(chain, 1):  # a = g^e generates <g> when gcd(e, |g|) = 1
             if gcd(e, len(chain)) == 1:
                 covered[a] = 1
@@ -229,11 +225,9 @@ def faithful_coset_actions(G: PermGroup) -> Optional[Callable[[Permutation], Per
 
     def act(g: Permutation) -> Permutation:
         images: list[int] = []
-        offset = 0
-        for (labels, reps) in tables:
-            for r in reps:
-                images.append(offset + labels[G.index_of(G.elements[r] * g)])
-            offset += len(reps)
+        for labels, reps in tables:
+            offset = len(images)
+            images.extend(offset + c for c in coset_images(G, labels, reps, g))
         return Permutation._make(tuple(images))
 
     return act

@@ -17,6 +17,7 @@ feed the printed prime-index witnesses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Collection, Optional
@@ -305,14 +306,7 @@ def maximal_subgroups_p_group(P: PermGroup, p: int) -> list[PermGroup]:
 
 
 def _functionals(p: int, d: int):
-    def rec(prefix):
-        if len(prefix) == d:
-            yield tuple(prefix)
-            return
-        for c in range(p):
-            yield from rec(prefix + [c])
-
-    for f in rec([]):
+    for f in itertools.product(range(p), repeat=d):
         nz = [c for c in f if c]
         if nz and nz[0] == 1:
             yield f

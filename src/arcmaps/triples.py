@@ -178,7 +178,7 @@ def exhaustive_search_count(G: PermGroup, kind: str) -> tuple[Optional[tuple], i
                 if witness is None and generates(G, [alpha, elems[k]]):
                     witness = (alpha, elems[k])
             if witness is None:
-                _mark_orbits(G, done, _powers(G, a))
+                _mark_orbits(G, done, [(b,) for b in G._powers(a)])
         return witness, examined
     for i in inv:
         x = elems[i]
@@ -219,14 +219,6 @@ def _mark_orbits(G: PermGroup, done: set, blocks) -> None:
             if img not in done:
                 done.add(img)
                 stack.append(img)
-
-
-def _powers(G: PermGroup, a: int) -> list[tuple]:
-    """The powers of elements[a], as 1-tuples of element indices."""
-    powers = [(a,)]
-    while powers[-1] != (0,):
-        powers.append((G._mul_index(powers[-1][0], a),))
-    return powers
 
 
 def _find_regular(G) -> Optional[tuple]:
@@ -284,7 +276,7 @@ def _find_rotary(G) -> Optional[tuple]:
             z = elems[k]
             if generates(G, [alpha, z]):
                 return (alpha, z)
-        _mark_orbits(G, done, _powers(G, a))
+        _mark_orbits(G, done, [(b,) for b in G._powers(a)])
     return None
 
 

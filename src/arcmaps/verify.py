@@ -19,8 +19,9 @@ from .families import (
     TABLE1_COLUMNS,
     TABLE2_CASES,
     TABLE2_COLUMNS,
-    _klein_auts,
-    _quaternion_auts,
+    TWO_GROUP_CASES,
+    _table1_entry,
+    _z4_circ,
     build_family,
     build_table_group,
     build_two_group,
@@ -37,7 +38,7 @@ from .maps import (
     is_multicycle,
     underlying_graph,
 )
-from .products import central_product, direct_product, semidirect_product
+from .products import direct_product, semidirect_product
 from .standard import (
     alternating_group,
     cyclic_group,
@@ -46,6 +47,8 @@ from .standard import (
     frobenius_group,
     gl2_3,
     inverted_cyclic_pair,
+    quaternion_central_z4,
+    quaternion_group,
     symmetric_group,
 )
 from .structure import (
@@ -53,6 +56,7 @@ from .structure import (
     is_dihedral,
     is_nilpotent,
     isomorphic,
+    maximal_subgroups_p_group,
     o_p,
     o_pi,
     fitting,
@@ -260,34 +264,22 @@ def verify_twisted_cyclic_facts(lmax: int = 2) -> VerificationReport:
 # -- Fitting-is-a-2-group catalog ------------------------------------------------------
 
 
-def _f_colon_group(column: str, with_s3: bool) -> PermGroup:
-    """F:Z3 or F:S3 for F one of the four normal 2-group shapes."""
-    acting = dihedral_group(3) if with_s3 else cyclic_group(3)
-    roles = ["r3", "inv"] if with_s3 else ["r3"]
-    if column in ("Z2^2", "Z2^3"):
-        F, s3, tau = _klein_auts(2 if column == "Z2^2" else 3)
-    else:
-        F, s3, tau = _quaternion_auts()
-    action = [s3 if r == "r3" else tau for r in roles]
-    model = semidirect_product(F, acting, action)
-    if column == "Z4oQ8":
-        minus1 = model.left_gens[0] ** 2
-        Z4 = cyclic_group(4)
-        return central_product(Z4, model.group, [(Z4.generators[0] ** 2, minus1)]).group
-    return model.group
+def _z2_cubed_by(B: PermGroup) -> PermGroup:
+    """Z2^3:B, B's first generator acting with order 7 and its second, if
+    any, with order 3 (squaring on the field basis 1, x, x^2 of F_8)."""
+    E = elementary_abelian(2, 3)
+    g = list(E.generators)
+    m7 = [g[1], g[2], g[0] * g[1]]
+    m3 = [g[0], g[2], g[1] * g[2]]
+    return semidirect_product(E, B, [m7, m3][: len(B.generators)]).group
 
 
 def verify_fitting_catalog(lmax: int = 2) -> VerificationReport:
     t0 = time.time()
     checks = []
     # the two {2,7}-type groups
-    E = elementary_abelian(2, 3)
-    g = list(E.generators)
-    m7 = [g[1], g[2], g[0] * g[1]]
-    G1 = semidirect_product(E, cyclic_group(7), [m7]).group
-    frob = frobenius_group(7, 3, 2)
-    m3 = [g[0], g[2], g[1] * g[2]]  # squaring on the field basis 1, x, x^2
-    G2 = semidirect_product(E, frob, [m7, m3]).group
+    G1 = _z2_cubed_by(cyclic_group(7))
+    G2 = _z2_cubed_by(frobenius_group(7, 3, 2))
     for name, G in (("Z2^3:Z7", G1), ("Z2^3:(Z7:Z3)", G2)):
         fit = fitting(G)
         ok = (
@@ -300,8 +292,11 @@ def verify_fitting_catalog(lmax: int = 2) -> VerificationReport:
     witness_kind = {"Z2^2": "Z4", "Z2^3": "D8", "Q8": "Z8", "Z4oQ8": "D16"}
     for column in ("Z2^2", "Z2^3", "Q8", "Z4oQ8"):
         f_order = {"Z2^2": 4, "Z2^3": 8, "Q8": 8, "Z4oQ8": 16}[column]
-        for with_s3 in (False, True):
-            G = _f_colon_group(column, with_s3)
+        for with_s3, B, roles in (
+            (False, cyclic_group(3), ["r3"]),
+            (True, dihedral_group(3), ["r3", "inv"]),
+        ):
+            G = _table1_entry(B, roles, column)
             fit = fitting(G)
             name = f"{column}:{'S3' if with_s3 else 'Z3'}"
             hyp = satisfies_hypothesis(G)
@@ -309,8 +304,6 @@ def verify_fitting_catalog(lmax: int = 2) -> VerificationReport:
             info = {"order": G.order, "fitting_order": fit.order}
             if with_s3:
                 S2 = hyp.sylow_of(2)
-                from .structure import maximal_subgroups_p_group
-
                 want = witness_kind[column]
                 found = False
                 for M in maximal_subgroups_p_group(S2, 2):
@@ -328,8 +321,6 @@ def verify_fitting_catalog(lmax: int = 2) -> VerificationReport:
 
 
 def _column_shape_models(table: int, col: str):
-    from .standard import quaternion_central_z4, quaternion_group
-
     shapes = {
         "Z2^2": lambda: elementary_abelian(2, 2),
         "Z2^3": lambda: elementary_abelian(2, 3),
@@ -386,12 +377,7 @@ def verify_tables_catalog(lmax: int = 2) -> VerificationReport:
 def verify_237_split(lmax: int = 2) -> VerificationReport:
     t0 = time.time()
     checks = []
-    E = elementary_abelian(2, 3)
-    g = list(E.generators)
-    m7 = [g[1], g[2], g[0] * g[1]]
-    m3 = [g[0], g[2], g[1] * g[2]]
-    frob = frobenius_group(7, 3, 2)
-    G = semidirect_product(E, frob, [m7, m3]).group
+    G = _z2_cubed_by(frobenius_group(7, 3, 2))
     hyp = satisfies_hypothesis(G)
     checks.append(CheckResult("hypothesis", hyp.ok, {"order": G.order}))
     K2 = hyp.sylow_of(2)
@@ -468,10 +454,7 @@ def verify_quotient_behavior(lmax: int = 2) -> VerificationReport:
 
 def z4_circ_gl23() -> PermGroup:
     G = gl2_3()
-    center = G.center()
-    minus1 = next(g for g in center.elements if g.order() == 2)
-    Z4 = cyclic_group(4)
-    return central_product(Z4, G, [(Z4.generators[0] ** 2, minus1)]).group
+    return _z4_circ(G, next(g for g in G.center().elements if g.order() == 2))
 
 
 def verify_gl23_no_regular(lmax: int = 2) -> VerificationReport:
@@ -569,8 +552,6 @@ def verify_inverted_abelian_no_rotary(lmax: int = 3) -> VerificationReport:
 def verify_two_group_audit(lmax: int = 2) -> VerificationReport:
     t0 = time.time()
     checks = []
-    from .families import TWO_GROUP_CASES
-
     for ell in range(1, lmax + 1):
         for case in TWO_GROUP_CASES:
             G = build_two_group(case, ell)
@@ -678,16 +659,7 @@ def verify_decomposition_instances(lmax: int = 2) -> VerificationReport:
         ("GL(2,3)", gl2_3()),
         ("A4", alternating_group(4)),
     ]
-    E = elementary_abelian(2, 3)
-    g = list(E.generators)
-    instances.append(
-        (
-            "Z2^3:(Z7:Z3)",
-            semidirect_product(
-                E, frobenius_group(7, 3, 2), [[g[1], g[2], g[0] * g[1]], [g[0], g[2], g[1] * g[2]]]
-            ).group,
-        )
-    )
+    instances.append(("Z2^3:(Z7:Z3)", _z2_cubed_by(frobenius_group(7, 3, 2))))
     # odd core Z7:Z3 is normal but not Hall here; H must shrink to Z7
     instances.append(
         ("(Z7:Z3)xS4", direct_product(frobenius_group(7, 3), symmetric_group(4)).group)
@@ -733,21 +705,12 @@ def _k_groups_regular(ell: int) -> list[tuple[str, PermGroup]]:
 
 
 def _k_groups_rotary(ell: int) -> list[tuple[str, PermGroup]]:
-    F, s3, _ = _klein_auts(2)
-    k1 = semidirect_product(F, cyclic_group(3**ell), [s3]).group
-    k2 = direct_product(cyclic_group(2), k1).group
-    Q, sq, _ = _quaternion_auts()
-    qm = semidirect_product(Q, cyclic_group(3**ell), [sq])
-    Z4 = cyclic_group(4)
-    k3 = central_product(Z4, qm.group, [(Z4.generators[0] ** 2, qm.left_gens[0] ** 2)]).group
-    E = elementary_abelian(2, 3)
-    g = list(E.generators)
-    k4 = semidirect_product(E, cyclic_group(7**ell), [[g[1], g[2], g[0] * g[1]]]).group
+    k1 = _table1_entry(cyclic_group(3**ell), ["r3"], "Z2^2")
     return [
         (f"Z2^2:Z{3 ** ell}", k1),
-        (f"Z2x(Z2^2:Z{3 ** ell})", k2),
-        (f"Z4o(Q8:Z{3 ** ell})", k3),
-        (f"Z2^3:Z{7 ** ell}", k4),
+        (f"Z2x(Z2^2:Z{3 ** ell})", direct_product(cyclic_group(2), k1).group),
+        (f"Z4o(Q8:Z{3 ** ell})", _table1_entry(cyclic_group(3**ell), ["r3"], "Z4oQ8")),
+        (f"Z2^3:Z{7 ** ell}", _z2_cubed_by(cyclic_group(7**ell))),
     ]
 
 

@@ -53,7 +53,7 @@ def test_family_records(capsys):
 def test_family_rejects_parity_violation(capsys):
     code, _, err = run(capsys, "family", "C31", "--even", "4..8")
     assert code == 2
-    assert "odd" in err
+    assert err == "error: family C31 needs odd n >= 3, got 4\n"
 
 
 def test_family_rejects_bad_range(capsys):
@@ -80,7 +80,7 @@ def test_map_text(capsys):
 def test_map_rejects_even_n(capsys):
     code, _, err = run(capsys, "map", "C31", "4")
     assert code == 2
-    assert "odd" in err
+    assert err == "error: family C31 needs odd n >= 3, got 4\n"
 
 
 def test_map_dot(capsys):

@@ -19,11 +19,26 @@ from arcmaps.families import (
     family_row,
     table_min_ell,
     wreath_square,
+    _klein_auts,
+    _quaternion_auts,
+    _table1_entry,
 )
-from arcmaps.products import direct_product
-from arcmaps.standard import cyclic_group, gl2_3, sl2_3, symmetric_group
+from arcmaps.groups import generate
+from arcmaps.perms import Permutation
+from arcmaps.products import central_product, direct_product, semidirect_product
+from arcmaps.standard import (
+    cyclic_group,
+    dihedral_gens,
+    dihedral_group,
+    elementary_abelian,
+    frobenius_group,
+    gl2_3,
+    sl2_3,
+    symmetric_group,
+)
 from arcmaps.structure import isomorphic, recognize, satisfies_hypothesis
 from arcmaps.triples import check_triple
+from arcmaps.verify import _k_groups_rotary, _z2_cubed_by, z4_circ_gl23
 
 # the published square-free rows for the three families
 C31_TABLE = [
@@ -195,3 +210,89 @@ def test_sl23_model_agrees_with_q8_z3():
 def test_emit_table_rejects_bad_range():
     with pytest.raises(FamilyParameterError):
         emit_family_table("C31", [4, 5])
+
+
+# -- hand-built references for the groups now made by the shared builders ----------
+
+
+def _ref_wreath_square(n):
+    d, rot, refl = dihedral_gens(n)
+
+    def pad(p, before, after):
+        return Permutation._make(
+            tuple(range(before))
+            + tuple(x + before for x in p.images)
+            + tuple(range(before + p.degree, before + p.degree + after))
+        )
+
+    a, s, b, t = pad(rot, 0, d), pad(refl, 0, d), pad(rot, d, 0), pad(refl, d, 0)
+    sigma = Permutation._make(tuple((x + d) % (2 * d) for x in range(2 * d)))
+    X = generate(2 * d, [a, s, b, t, sigma])
+    return X, {"a": a, "s": s, "b": b, "t": t, "sigma": sigma}
+
+
+def _ref_z4_circ(G, minus1):
+    Z4 = cyclic_group(4)
+    return central_product(Z4, G, [(Z4.generators[0] ** 2, minus1)]).group
+
+
+def _ref_f_colon_group(column, with_s3):
+    acting = dihedral_group(3) if with_s3 else cyclic_group(3)
+    roles = ["r3", "inv"] if with_s3 else ["r3"]
+    if column in ("Z2^2", "Z2^3"):
+        F, s3, tau = _klein_auts(2 if column == "Z2^2" else 3)
+    else:
+        F, s3, tau = _quaternion_auts()
+    model = semidirect_product(F, acting, [s3 if r == "r3" else tau for r in roles])
+    if column == "Z4oQ8":
+        return _ref_z4_circ(model.group, model.left_gens[0] ** 2)
+    return model.group
+
+
+def _ref_z2_cubed(B):
+    E = elementary_abelian(2, 3)
+    g = list(E.generators)
+    m7 = [g[1], g[2], g[0] * g[1]]
+    m3 = [g[0], g[2], g[1] * g[2]]
+    return semidirect_product(E, B, [m7, m3] if len(B.generators) == 2 else [m7]).group
+
+
+def _ref_k_groups_rotary(ell):
+    F, s3, _ = _klein_auts(2)
+    k1 = semidirect_product(F, cyclic_group(3**ell), [s3]).group
+    Q, sq, _ = _quaternion_auts()
+    qm = semidirect_product(Q, cyclic_group(3**ell), [sq])
+    return [
+        (f"Z2^2:Z{3 ** ell}", k1),
+        (f"Z2x(Z2^2:Z{3 ** ell})", direct_product(cyclic_group(2), k1).group),
+        (f"Z4o(Q8:Z{3 ** ell})", _ref_z4_circ(qm.group, qm.left_gens[0] ** 2)),
+        (f"Z2^3:Z{7 ** ell}", _ref_z2_cubed(cyclic_group(7**ell))),
+    ]
+
+
+def _same_realization(G, H):
+    return (G.degree, G.generators, G.elements) == (H.degree, H.generators, H.elements)
+
+
+def test_shared_builders_match_parent_constructions():
+    """Each group made by a shared builder is realized exactly as its former
+    hand-built copy: same degree, generators and element order."""
+    for n in range(2, 12):
+        (X, names), (Y, ref_names) = wreath_square(n), _ref_wreath_square(n)
+        assert _same_realization(X, Y) and names == ref_names, n
+    for column in TABLE1_COLUMNS:
+        z3 = _table1_entry(cyclic_group(3), ["r3"], column)
+        s3 = _table1_entry(dihedral_group(3), ["r3", "inv"], column)
+        assert _same_realization(z3, _ref_f_colon_group(column, False)), column
+        assert _same_realization(s3, _ref_f_colon_group(column, True)), column
+        assert _same_realization(s3, build_table_group(1, "1.1", column, 1)), column
+    gl = gl2_3()
+    minus1 = next(g for g in gl.center().elements if g.order() == 2)
+    assert _same_realization(z4_circ_gl23(), _ref_z4_circ(gl, minus1))
+    for B in (cyclic_group(7), frobenius_group(7, 3, 2)):
+        assert _same_realization(_z2_cubed_by(B), _ref_z2_cubed(B))
+    for ell in (1, 2):
+        got, want = _k_groups_rotary(ell), _ref_k_groups_rotary(ell)
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, G), (_, H) in zip(got, want):
+            assert _same_realization(G, H), (name, ell)

@@ -36,7 +36,7 @@ from arcmaps.families import (
     build_table_group,
     table_min_ell,
 )
-from arcmaps import families, groups, products, triples, verify
+from arcmaps import families, groups, products, triples
 from arcmaps.groups import GroupTooLargeError, PermGroup, core_within, extend_hom, group_from_elements
 from arcmaps.perms import Permutation
 from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
@@ -603,7 +603,6 @@ def central_quotients():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "central_product", record)
-        mp.setattr(verify, "central_product", record)
         z4_circ_gl23()
         for table, cases, cols in ((1, TABLE1_CASES, TABLE1_COLUMNS), (2, TABLE2_CASES, TABLE2_COLUMNS)):
             for case in cases:
