@@ -28,7 +28,6 @@ from .products import central_product, direct_product, semidirect_product, wreat
 from .structure import (
     HypothesisReport,
     IsoClassTag,
-    SylowSubgroup,
     fitting,
     isomorphic,
     o_p,
@@ -57,7 +56,6 @@ __all__ = [
     "Permutation",
     "QuotientGroup",
     "RegularMapModel",
-    "SylowSubgroup",
     "build_map",
     "central_product",
     "check_triple",

@@ -21,6 +21,7 @@ from .families import (
 )
 from .genfiles import GenFileError, parse_generator_file
 from .groups import DEFAULT_CAP, GroupTooLargeError, PermGroup
+from .integers import factor
 from .maps import MapStructureError, build_map, underlying_graph
 from .structure import recognize, satisfies_hypothesis
 from .triples import find_any
@@ -37,24 +38,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _options(sub, cap: bool = True, formats=("text", "records")) -> None:
+    """Add the options a subcommand reads.  Every subcommand accepts --workers,
+    so one argv suffix fits every command."""
+    if cap:
+        sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="element cap for closures")
+    sub.add_argument("--workers", type=int, default=1, help="worker processes for independent work items")
+    sub.add_argument("--format", choices=formats, default="text")
+    sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP, help="element cap for closures")
-    common.add_argument("--workers", type=int, default=1, help="worker processes for independent work items")
-    common.add_argument("--format", choices=("text", "records", "dot"), default="text")
-    common.add_argument("--out", help="write output to this path instead of stdout")
-
     p = argparse.ArgumentParser(
         prog="arcmaps",
         description="regular maps of square-free Euler characteristic: "
@@ -63,9 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"arcmaps {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    fam = sub.add_parser(
-        "family", parents=[common], help="emit a characteristic table for a map family"
-    )
+    fam = sub.add_parser("family", help="emit a characteristic table for a map family")
+    _options(fam)
     fam.add_argument("family", choices=FAMILIES)
     grp = fam.add_mutually_exclusive_group(required=True)
     grp.add_argument("--odd", metavar="A..B", help="odd n in the range")
@@ -74,15 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--range", dest="whole", metavar="A..B", help="every n in the range")
     fam.add_argument("--only-squarefree", action="store_true", help="emit only square-free rows")
 
-    mp = sub.add_parser("map", parents=[common], help="export one map of a family")
+    mp = sub.add_parser("map", help="export one map of a family")
+    _options(mp, formats=("text", "records", "dot"))
     mp.add_argument("family", choices=FAMILIES)
     mp.add_argument("n", type=int)
     mp.add_argument("--dot", action="store_true", help="also emit the underlying graph in DOT")
 
-    an = sub.add_parser("analyze", parents=[common], help="structural report for a generator file")
+    an = sub.add_parser("analyze", help="structural report for a generator file")
+    _options(an)
     an.add_argument("path")
 
-    ver = sub.add_parser("verify", parents=[common], help="run claim verification")
+    ver = sub.add_parser("verify", help="run claim verification")
+    _options(ver, cap=False)
     ver.add_argument("claim", help="a claim id or 'all'")
     ver.add_argument("--lmax", type=int, default=2, help="parameter bound for families of claims")
     ver.add_argument("--list", action="store_true", help="list claim ids and exit")
@@ -110,7 +106,7 @@ def cmd_family(args) -> int:
     elif args.even:
         ns = [n for n in ns if n % 2 == 0]
     elif args.primes:
-        ns = [n for n in ns if _is_prime(n)]
+        ns = [n for n in ns if factor(n).factors == ((n, 1),)]
     else:
         ns = list(ns)
     if not ns:
@@ -248,6 +244,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.lmax < 1:
+        print(f"error: --lmax must be at least 1, got {args.lmax}", file=sys.stderr)
+        return USAGE_ERROR
     if args.list:
         lines = [f"{cid}: {desc}" for cid, (desc, _) in CLAIMS.items()]
         _emit("\n".join(lines) + "\n", args.out)

@@ -33,13 +33,6 @@ from .perms import Permutation
 from . import standard
 
 
-@dataclass(frozen=True)
-class SylowSubgroup:
-    prime: int
-    group: PermGroup
-    parent: PermGroup
-
-
 def _p_part(n: int, p: int) -> int:
     part = 1
     while n % p == 0:
@@ -59,7 +52,7 @@ def _p_element(g: Permutation, p: int) -> Optional[Permutation]:
     return g**m
 
 
-def sylow(G: PermGroup, p: int) -> SylowSubgroup:
+def sylow(G: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup by greedy closure over p-elements.
 
     Starting from one p-element, repeatedly pick a p-element of the
@@ -69,7 +62,7 @@ def sylow(G: PermGroup, p: int) -> SylowSubgroup:
     """
     target = _p_part(G.order, p)
     if target == 1:
-        return SylowSubgroup(p, G.trivial_subgroup(), G)
+        return G.trivial_subgroup()
     start = None
     for g in G.elements:
         pe = _p_element(g, p)
@@ -88,7 +81,7 @@ def sylow(G: PermGroup, p: int) -> SylowSubgroup:
                 break
         if not grown:
             raise AssertionError("Sylow climb stalled below the full p-part")
-    return SylowSubgroup(p, S, G)
+    return S
 
 
 def _is_pi(n: int, primes: Collection[int]) -> bool:
@@ -248,7 +241,7 @@ def is_generalized_quaternion(G: PermGroup) -> bool:
 
 def is_nilpotent(G: PermGroup) -> bool:
     """Nilpotent iff every Sylow subgroup is normal."""
-    return all(G.is_normal(sylow(G, p).group) for p in G.prime_divisors())
+    return all(G.is_normal(sylow(G, p)) for p in G.prime_divisors())
 
 
 def frattini_p_group(P: PermGroup, p: int) -> PermGroup:
@@ -357,7 +350,7 @@ def satisfies_hypothesis(G: PermGroup) -> HypothesisReport:
     witnesses = []
     ok = True
     for p in G.prime_divisors():
-        S = sylow(G, p).group
+        S = sylow(G, p)
         if S.order == p:
             witnesses.append(
                 PrimeWitness(p, S.order, True, "trivial", ("()",), 1, S)

@@ -11,14 +11,15 @@ passes half the group order (a proper subgroup has index at least 2).
 The defining conditions are invariant under conjugation in G, so every
 scan runs in blocks of the candidates that share a first element (rotary
 pairs) or a first pair (triples; unordered in the pruned regular and
-reversing scans).  When a block ends with no hit, its whole G-orbit is
-marked, found by a breadth-first search over the conjugation tables, and
-a later block whose key is marked is skipped: each of its candidates is
-conjugate to one already rejected.  A rejected alpha also marks the
-orbits of its powers, since <alpha^k, z> lies in <alpha, z>.  The first
-hit is therefore the one the same scan without skipping would find, and
-`exhaustive_search_count` adds a skipped block's raw size, so its count
-still covers the whole candidate space.
+reversing scans).  One loop, `_scan`, runs every scan: when a block ends
+with no hit, its whole G-orbit is marked, found by a breadth-first search
+over the conjugation tables, and a later block whose key is marked is
+skipped, since each of its candidates is conjugate to one already
+rejected.  A rejected alpha also marks the orbits of its powers.
+`find_any` stops at the first hit, which is the one the same scan without
+skipping would find; `exhaustive_search_count` counts on to the end,
+adding every block's raw size, so its count covers the whole candidate
+space.
 
 The generation test runs on element indices.  Each product it needs is read
 from the group's right-multiplication column of the generator, an array of
@@ -126,17 +127,8 @@ def count_involutions(G: PermGroup) -> int:
 
 def find_any(G: PermGroup, kind: str) -> Optional[GeneratingTriple]:
     """First valid data of the kind in the deterministic scan order, if any."""
-    if kind == "regular":
-        got = _find_regular(G)
-    elif kind == "reversing":
-        got = _find_reversing(G)
-    elif kind == "rotary":
-        got = _find_rotary(G)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if got is None:
-        return None
-    return GeneratingTriple(kind, got, G)
+    got, _ = _scan(G, kind, exhaust=False)
+    return None if got is None else GeneratingTriple(kind, got, G)
 
 
 def exists(G: PermGroup, kind: str) -> bool:
@@ -157,48 +149,86 @@ def exhaustive_search_count(G: PermGroup, kind: str) -> tuple[Optional[tuple], i
     No multiset or (x, z) symmetry pruning and no early stop, so it is
     slower than find_any, but the count of examined candidates equals
     search_space_size exactly, which is the certificate a non-existence
-    claim wants.  The count is the tested candidates plus the raw size of
-    every skipped block (a first element for rotary pairs, an ordered first
-    pair for triples): one conjugate to a rejected block, or, for rotary
-    pairs, to a power of a rejected alpha, and every block after the
-    witness.  Returns (first witness, count).
+    claim wants.  Returns (first witness, count).
     """
+    return _scan(G, kind, exhaust=True)
+
+
+def _scan(G: PermGroup, kind: str, exhaust: bool) -> tuple[Optional[tuple], int]:
+    """The one block loop: (first witness, candidates examined).
+
+    Every block adds its raw size, |Inv|, to the count.  find_any stops at
+    the first hit; with exhaust, the scan counts on to the end.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    keys, open_block = _blocks(G, kind, exhaust)
     elems = G.elements
-    inv = G.involution_indices()
-    examined = 0
-    witness = None
+    raw = len(G.involution_indices())
     done: set[tuple] = set()
-    if kind == "rotary":
-        for a, alpha in enumerate(elems):
-            if witness is not None or (a,) in done:
-                examined += len(inv)
-                continue
-            for k in inv:
-                examined += 1
-                if witness is None and generates(G, [alpha, elems[k]]):
-                    witness = (alpha, elems[k])
-            if witness is None:
-                _mark_orbits(G, done, [(b,) for b in G._powers(a)])
-        return witness, examined
-    for i in inv:
-        x = elems[i]
-        for j in inv:
-            if witness is not None or (i, j) in done:
-                examined += len(inv)
-                continue
-            y = elems[j]
-            for k in inv:
-                z = elems[k]
-                examined += 1
-                if witness is not None:
-                    continue
-                if kind == "regular" and (i == k or G._mul_index(i, k) != G._mul_index(k, i)):
-                    continue
-                if generates(G, [x, y, z]):
-                    witness = (x, y, z)
-            if witness is None:
-                _mark_orbits(G, done, [(i, j)])
+    witness = None
+    examined = 0
+    for key in keys:
+        examined += raw
+        if witness is not None or key in done:
+            continue
+        candidates, marks = open_block(key)
+        hit = next((c for c in candidates if generates(G, [elems[i] for i in c])), None)
+        if hit is None:
+            _mark_orbits(G, done, marks)
+        else:
+            witness = tuple(elems[i] for i in hit)
+            if not exhaust:
+                break
     return witness, examined
+
+
+def _blocks(G: PermGroup, kind: str, exhaust: bool):
+    """The block keys of one scan in scan order, and open(key).
+
+    open(key) gives the block's candidates, as tuples of element indices in
+    scan order, and the keys whose orbits the block marks when it has no hit.
+    """
+    inv = G.involution_indices()
+    if kind == "rotary":
+        # a first element alpha; <alpha^k, z> lies in <alpha, z>, so a
+        # rejected alpha also marks the orbits of its powers
+        def open_block(key):
+            (a,) = key
+            return ((a, k) for k in inv), [(b,) for b in G._powers(a)]
+
+        return ((a,) for a in range(G.order)), open_block
+    if exhaust:
+        # an ordered first pair (x, y); a regular z commutes with x
+        def open_block(key):
+            i, j = key
+            return ((i, j, k) for k in inv if kind == "reversing" or _commute(G, i, k)), [key]
+
+        return ((i, j) for i in inv for j in inv), open_block
+    if kind == "regular":
+        # (x, z) and (z, x) give equivalent triples: scan i < k only, so a
+        # block is an unordered pair (x, z).  A pair that does not commute
+        # holds no candidate and marks nothing.
+        def open_block(key):
+            i, k = key
+            if not _commute(G, i, k):
+                return (), ()
+            return ((i, j, k) for j in inv), [key, (k, i)]
+
+        return ((i, k) for a, i in enumerate(inv) for k in inv[a + 1 :]), open_block
+    # fully symmetric conditions: scan multisets i <= j <= k (inv ascends).
+    # When the block of (i, j) ends, every multiset holding both has been
+    # rejected (the others sort into earlier blocks), so it is unordered.
+    def open_block(key):
+        i, j = key
+        return ((i, j, k) for k in inv if k >= j), [key, (j, i)]
+
+    return ((i, j) for a, i in enumerate(inv) for j in inv[a:]), open_block
+
+
+def _commute(G: PermGroup, i: int, k: int) -> bool:
+    """Are elements i and k distinct and commuting?"""
+    return i != k and G._mul_index(i, k) == G._mul_index(k, i)
 
 
 def _mark_orbits(G: PermGroup, done: set, blocks) -> None:
@@ -206,8 +236,7 @@ def _mark_orbits(G: PermGroup, done: set, blocks) -> None:
 
     G acts on a block by conjugating every entry through G's conjugation
     tables.  Closing under the generators gives the orbit under G, so done
-    stays a union of orbits and a block already in it needs no search.  An
-    unordered pair is marked as both of its orders.
+    stays a union of orbits and a block already in it needs no search.
     """
     conj = G._conj_index
     stack = [b for b in blocks if b not in done]
@@ -219,65 +248,6 @@ def _mark_orbits(G: PermGroup, done: set, blocks) -> None:
             if img not in done:
                 done.add(img)
                 stack.append(img)
-
-
-def _find_regular(G) -> Optional[tuple]:
-    elems = G.elements
-    inv = G.involution_indices()
-    done: set[tuple] = set()
-    # (x, z) and (z, x) give equivalent triples; scan i < k only, so a
-    # block is an unordered pair
-    for ii, i in enumerate(inv):
-        x = elems[i]
-        for k in inv[ii + 1 :]:
-            if (i, k) in done or G._mul_index(i, k) != G._mul_index(k, i):
-                continue
-            z = elems[k]
-            for j in inv:
-                y = elems[j]
-                if generates(G, [x, y, z]):
-                    return (x, y, z)
-            _mark_orbits(G, done, [(i, k), (k, i)])
-    return None
-
-
-def _find_reversing(G) -> Optional[tuple]:
-    elems = G.elements
-    inv = G.involution_indices()
-    done: set[tuple] = set()
-    # fully symmetric conditions: scan multisets i <= j <= k.  When the
-    # block of (i, j) ends, every multiset holding both has been rejected
-    # (the others sort into earlier blocks), so the block is unordered.
-    for a, i in enumerate(inv):
-        x = elems[i]
-        for b in range(a, len(inv)):
-            j = inv[b]
-            if (i, j) in done:
-                continue
-            y = elems[j]
-            for c in range(b, len(inv)):
-                z = elems[inv[c]]
-                if generates(G, [x, y, z]):
-                    return (x, y, z)
-            _mark_orbits(G, done, [(i, j), (j, i)])
-    return None
-
-
-def _find_rotary(G) -> Optional[tuple]:
-    elems = G.elements
-    inv = G.involution_indices()
-    # <alpha^k, z> lies in <alpha, z>: a rejected alpha also marks the
-    # orbits of its powers
-    done: set[tuple] = set()
-    for a, alpha in enumerate(elems):
-        if (a,) in done:
-            continue
-        for k in inv:
-            z = elems[k]
-            if generates(G, [alpha, z]):
-                return (alpha, z)
-        _mark_orbits(G, done, [(b,) for b in G._powers(a)])
-    return None
 
 
 @dataclass(frozen=True)

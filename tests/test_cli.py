@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from arcmaps.cli import main
+from arcmaps.cli import build_parser, main
 from arcmaps.families import build_table_group
 from arcmaps.genfiles import format_generator_file
 from arcmaps.perms import Permutation
@@ -193,6 +193,37 @@ def test_verify_records_deterministic(capsys):
     assert rec["status"] == "confirmed"
     _, out2, _ = run(capsys, "verify", "lemma-6.3", "--lmax", "1", "--format", "records")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("claim", ["lemma-5.6", "theorem-1.2", "prop-4.2"])
+@pytest.mark.parametrize("lmax", ["0", "-1"])
+def test_verify_rejects_lmax_below_one(capsys, claim, lmax):
+    code, out, err = run(capsys, "verify", claim, "--lmax", lmax)
+    assert (code, out) == (2, "")
+    assert "--lmax must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma-5.1", "--cap", "3"],
+        ["verify", "lemma-5.1", "--format", "dot"],
+        ["family", "C31", "--odd", "5..7", "--format", "dot"],
+        ["analyze", "s4.gens", "--format", "dot"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["family", "C31", "--odd", "5..7"], ["map", "C31", "5"], ["analyze", "s4.gens"], ["verify", "all"]]
+)
+def test_every_subcommand_takes_workers(argv):
+    assert build_parser().parse_args(argv + ["--workers", "2"]).workers == 2
 
 
 def test_out_file(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_sylow_orders_multiply_out():
     for G in random_groups(10):
         total = 1
         for p in G.prime_divisors():
-            S = sylow(G, p).group
+            S = sylow(G, p)
             assert S.order == _p_part(G.order, p)
             total *= S.order
         assert total == G.order

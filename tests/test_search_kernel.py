@@ -5,15 +5,16 @@ with a reference scan that uses a tuple closure and Permutation products
 only, in the same candidate order as the package's scans but with no
 conjugacy pruning, on random groups, on the K-groups at ell = 1 and, as a
 hypothesis property, on small random permutation groups.  The pruning's
-work is bounded by the number of G-orbits of its blocks.  `extend_hom`
-and `coset_labels` are compared with the breadth-first extension and the
-stack orbit under H's generators that they replace.  `o_pi` is compared
-with the join of normal closures of pi-elements, with the capped-closure
-scan it replaces and with the core of a Sylow subgroup, `hall_subgroup`
-with the pi-part of |G| and sympy's order, and `normal_closure` with the
-round-based closure it replaces and with sympy's normal closure.
-`core_within` and `normalizer` are compared with the
-Permutation-product loops they replace, `is_normal` and `center` with
+work is bounded by the number of G-orbits of its blocks, and on a fixed
+corpus the scans' witnesses, counts and generation tests are pinned.
+`extend_hom` and `coset_labels` are compared with the breadth-first
+extension and the stack orbit under H's generators that they replace.
+`o_pi` is compared with the join of normal closures of pi-elements, with
+the capped-closure scan it replaces and with the core of a Sylow
+subgroup, `hall_subgroup` with the pi-part of |G| and sympy's order, and
+`normal_closure` with the round-based closure it replaces and with
+sympy's normal closure.  `core_within` and `normalizer` are compared with
+the Permutation-product loops they replace, `is_normal` and `center` with
 sympy, and the conjugation tables with `**`.  The compression search of
 `faithful_coset_actions` is compared with the subgroup search it replaces
 on the uncompressed central products of Tables 1-2 and on the corpus.
@@ -33,13 +34,21 @@ from arcmaps.families import (
     TABLE1_COLUMNS,
     TABLE2_CASES,
     TABLE2_COLUMNS,
+    build_family,
     build_table_group,
     table_min_ell,
 )
 from arcmaps import families, groups, products, triples
 from arcmaps.groups import GroupTooLargeError, PermGroup, core_within, extend_hom, group_from_elements
 from arcmaps.perms import Permutation
-from arcmaps.standard import cyclic_group, dihedral_group, gl2_3, quaternion_group, symmetric_group
+from arcmaps.standard import (
+    cyclic_group,
+    dihedral_group,
+    gl2_3,
+    inverted_cyclic_pair,
+    quaternion_group,
+    symmetric_group,
+)
 from arcmaps.structure import hall_subgroup, o_p, o_pi, sylow
 from arcmaps.triples import KINDS, exhaustive_search_count, find_any, generates
 from arcmaps.verify import _k_groups_regular, _k_groups_rotary, z4_circ_gl23
@@ -186,6 +195,90 @@ def test_regular_scan_tests_one_block_per_orbit(monkeypatch):
     assert find_any(G, "regular") is None
     assert (G.order, len(inv), len(pairs)) == (216, 57, 84)  # 4 788 tests unpruned
     assert len(calls) <= _pair_orbits(G, pairs) * len(inv) == 171
+
+
+# For each group and kind: find_any's witness and generates calls, then
+# exhaustive_search_count's witness, examined count and generates calls.
+# Witnesses are element indices in G.elements.  Recorded from the scans as
+# they stood before their blocks moved into one loop.
+SCAN_WORK = {
+    "GL(2,3)": {
+        "regular": (None, 26, None, 2197, 40),
+        "reversing": ((3, 6, 9), 15, (3, 6, 9), 2197, 16),
+        "rotary": ((1, 9), 16, (1, 9), 624, 16),
+    },
+    "Z4oGL(2,3)": {
+        "regular": (None, 76, None, 6859, 90),
+        "reversing": ((4, 11, 22), 43, (4, 11, 22), 6859, 46),
+        "rotary": ((6, 14), 80, (6, 14), 1824, 80),
+    },
+    "S4": {
+        "regular": ((1, 16, 20), 4, (1, 16, 20), 729, 5),
+        "reversing": ((1, 5, 16), 12, (1, 5, 16), 729, 13),
+        "rotary": ((2, 1), 19, (2, 1), 216, 19),
+    },
+    "T1(1.5)l1": {
+        "regular": (None, 63, None, 9261, 50),
+        "reversing": ((5, 18, 48), 123, (5, 18, 48), 9261, 184),
+        "rotary": (None, 189, None, 1512, 189),
+    },
+    "T1(1.6)l2": {
+        "regular": (None, 171, None, 185193, 122),
+        "reversing": ((5, 16, 52), 290, (5, 16, 52), 185193, 417),
+        "rotary": (None, 798, None, 12312, 798),
+    },
+    "(Z9xZ3):Z2": {
+        "regular": (None, 0, None, 19683, 0),
+        "reversing": ((3, 6, 8), 29, (3, 6, 8), 19683, 30),
+        "rotary": (None, 216, None, 1458, 216),
+    },
+    "D18": {
+        "regular": (None, 0, None, 729, 0),
+        "reversing": ((2, 2, 4), 2, (2, 2, 4), 729, 2),
+        "rotary": ((1, 2), 10, (1, 2), 162, 10),
+    },
+    "C31(5)": {
+        "regular": ((2, 43, 4), 17, (2, 20, 13), 42875, 53),
+        "reversing": ((2, 4, 43), 51, (2, 4, 43), 42875, 52),
+        "rotary": ((8, 29), 222, (8, 29), 3500, 222),
+    },
+}
+SCAN_BUILDERS = {
+    "GL(2,3)": gl2_3,
+    "Z4oGL(2,3)": z4_circ_gl23,
+    "S4": lambda: symmetric_group(4),
+    "T1(1.5)l1": lambda: build_table_group(1, "1.5", "Z2^2", 1),
+    "T1(1.6)l2": lambda: build_table_group(1, "1.6", "Z2^2", 2),
+    "(Z9xZ3):Z2": lambda: inverted_cyclic_pair(9, 3),
+    "D18": lambda: dihedral_group(9),
+    "C31(5)": lambda: build_family("C31", 5).group,
+}
+
+
+def test_scans_keep_their_witnesses_counts_and_work(monkeypatch):
+    calls = []
+    test = triples.generates
+    monkeypatch.setattr(triples, "generates", lambda H, elems: calls.append(1) or test(H, elems))
+
+    def indices(G, elems):
+        return None if elems is None else tuple(G._index[g.images] for g in elems)
+
+    total = 0
+    for name, build in SCAN_BUILDERS.items():
+        for kind in KINDS:
+            G = build()
+            calls.clear()
+            got = find_any(G, kind)
+            found = (indices(G, got and got.elements), len(calls))
+            G = build()
+            calls.clear()
+            witness, examined = exhaustive_search_count(G, kind)
+            assert found + (indices(G, witness), examined, len(calls)) == SCAN_WORK[name][kind], (
+                name,
+                kind,
+            )
+            total += found[1] + len(calls)
+    assert total == 5142
 
 
 @st.composite
@@ -428,7 +521,7 @@ def test_o_pi_matches_join_of_normal_closures(pi_corpus):
                 assert _elements(got) == _elements(ref_o_pi(G, pi, closure_of)), (G, pi)
                 sizes.add(1 < got.order < G.order)
         for p in primes:
-            want = ref_core_within(G, sylow(G, p).group)  # a Sylow subgroup's core
+            want = ref_core_within(G, sylow(G, p))  # a Sylow subgroup's core
             assert _elements(o_p(G, p)) == _elements(want), (G, p)
     assert sizes == {True, False}
 
@@ -467,7 +560,7 @@ def _sym(G):
 
 def _test_subgroups(G, rng):
     """Every Sylow subgroup and three seeded cyclic subgroups."""
-    subs = [sylow(G, p).group for p in G.prime_divisors()]
+    subs = [sylow(G, p) for p in G.prime_divisors()]
     subs += [G.subgroup([g]) for g in rng.sample(G.elements, min(G.order, 3))]
     return subs
 

@@ -21,6 +21,7 @@ from arcmaps.triples import (
     GeneratingTriple,
     check_triple,
     count_involutions,
+    exhaustive_search_count,
     exists,
     find_any,
     generates,
@@ -143,6 +144,12 @@ def test_find_any_returns_first_hit_deterministically():
     assert t1.elements == t2.elements
     assert check_triple(G, t1.elements, "regular")
 
+
+def test_searches_reject_an_unknown_kind():
+    G = dihedral_group(3)
+    for search in (find_any, exhaustive_search_count):
+        with pytest.raises(ValueError, match="unknown kind"):
+            search(G, "bogus")
 
 def test_quotient_behavior_collapsed_dihedral():
     inst = build_family("C31", 5)
