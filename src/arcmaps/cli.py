@@ -112,11 +112,7 @@ def cmd_family(args) -> int:
     if not ns:
         print("error: empty parameter range", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        rows = emit_family_table(args.family, ns, workers=args.workers, cap=args.cap)
-    except GroupTooLargeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    rows = emit_family_table(args.family, ns, workers=args.workers, cap=args.cap)
     if args.only_squarefree:
         rows = [r for r in rows if r.squarefree]
     if args.format == "records":
@@ -132,11 +128,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_map(args) -> int:
-    try:
-        inst = build_family(args.family, args.n, cap=args.cap)
-    except GroupTooLargeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    inst = build_family(args.family, args.n, cap=args.cap)
     m = build_map(inst.group, inst.triple)
     record = m.to_record()
     record["family"] = args.family
@@ -185,11 +177,7 @@ def cmd_analyze(args) -> int:
     except GenFileError as err:
         print(f"error: {args.path}: {err}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        G = PermGroup(gf.degree, list(gf.generators), cap=args.cap)
-    except GroupTooLargeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
+    G = PermGroup(gf.degree, list(gf.generators), cap=args.cap)
     hyp = satisfies_hypothesis(G)
     sylows = [
         {"prime": w.prime, "order": w.sylow.order, "tag": str(recognize(w.sylow))}
@@ -289,7 +277,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_analyze(args)
         if args.command == "verify":
             return cmd_verify(args)
-    except FamilyParameterError as err:
+    except (FamilyParameterError, GroupTooLargeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     raise AssertionError("unreachable")

@@ -154,15 +154,10 @@ def emit_family_table(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_task, [(family, n, cap) for n in ns]))
+            rows = list(pool.map(family_row, [family] * len(ns), ns, [cap] * len(ns)))
     else:
         rows = [family_row(family, n, cap=cap) for n in ns]
     return sorted(rows, key=lambda r: r.n)
-
-
-def _row_task(args: tuple[str, int, int]) -> FamilyRow:
-    family, n, cap = args
-    return family_row(family, n, cap=cap)
 
 
 # -- the 2-group catalog -------------------------------------------------------------

@@ -32,6 +32,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .integers import factor
 from .perms import Permutation
 
 DEFAULT_CAP = 200_000
@@ -208,18 +209,7 @@ class PermGroup:
         return self._involutions
 
     def prime_divisors(self) -> list[int]:
-        n = self.order
-        out = []
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.append(n)
-        return out
+        return [p for p, _ in factor(self.order).factors]
 
     def is_abelian(self) -> bool:
         if self._abelian is None:

@@ -9,6 +9,7 @@ counterexample that the triples/structure modules can re-check.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from math import gcd
@@ -107,17 +108,39 @@ class VerificationReport:
         }
 
 
-def _finish(claim: str, checks: list[CheckResult], certificate: dict, t0: float) -> VerificationReport:
-    status = "confirmed" if all(c.ok for c in checks) else "refuted"
-    return VerificationReport(claim, status, checks, certificate, elapsed=time.time() - t0)
+ClaimEvidence = tuple[list[CheckResult], dict]  # a claim body's checks and certificate
+
+# claim id -> (description, runner), in definition order
+CLAIMS: dict[str, tuple[str, Callable[[int], VerificationReport]]] = {}
+
+
+def _claim(cid: str, description: str):
+    """Register a claim body under `cid` and return its runner.
+
+    The body returns its checks and certificate; the runner times it and
+    reports the claim confirmed when every check is ok, refuted otherwise.
+    """
+
+    def register(body: Callable[..., ClaimEvidence]) -> Callable[..., VerificationReport]:
+        @functools.wraps(body, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
+        def run(*args, **kwargs) -> VerificationReport:
+            t0 = time.time()
+            checks, certificate = body(*args, **kwargs)
+            status = "confirmed" if all(c.ok for c in checks) else "refuted"
+            return VerificationReport(cid, status, checks, certificate, elapsed=time.time() - t0)
+
+        CLAIMS[cid] = (description, run)
+        return run
+
+    return register
 
 
 # -- section 3 constructions ----------------------------------------------------------
 
 
-def verify_families(lmax: int = 2) -> VerificationReport:
+@_claim("families", "map families: triples valid, characteristic laws, underlying graphs")
+def verify_families(lmax: int = 2) -> ClaimEvidence:
     """Triple validity, order and characteristic laws, graph recognition."""
-    t0 = time.time()
     checks = []
     samples = {
         "C31": (5, 7, 9),
@@ -144,14 +167,14 @@ def verify_families(lmax: int = 2) -> VerificationReport:
                     {"chi": chi_closed, "law": law, "graph_ok": gok},
                 )
             )
-    return _finish("families", checks, {"instances": len(checks)}, t0)
+    return checks, {"instances": len(checks)}
 
 
 # -- largest-prime Sylow normality (odd order) ---------------------------------------
 
 
-def verify_largest_prime_normal(lmax: int = 2) -> VerificationReport:
-    t0 = time.time()
+@_claim("lemma-5.1", "odd order: the largest-prime Sylow subgroup is normal (instances)")
+def verify_largest_prime_normal(lmax: int = 2) -> ClaimEvidence:
     checks = []
     instances = [
         ("Z7:Z3", frobenius_group(7, 3), 7),
@@ -168,7 +191,7 @@ def verify_largest_prime_normal(lmax: int = 2) -> VerificationReport:
         S = hyp.sylow_of(p)
         ok = hyp.ok and G.order % 2 == 1 and G.is_normal(S)
         checks.append(CheckResult(name, ok, {"p": p, "sylow_order": S.order}))
-    return _finish("lemma-5.1", checks, {"instances": len(checks)}, t0)
+    return checks, {"instances": len(checks)}
 
 
 # -- coprime {p,q} direct products ----------------------------------------------------
@@ -185,9 +208,9 @@ def _catalog_aut_order(case: str, p: int, ell: int) -> int:
     raise ValueError(case)
 
 
-def verify_coprime_direct(lmax: int = 2) -> VerificationReport:
+@_claim("lemma-5.2", "coprime {p,q}-groups are direct products (instances and control)")
+def verify_coprime_direct(lmax: int = 2) -> ClaimEvidence:
     """{p,q}-groups with q coprime to p(p^2-1) must split as direct products."""
-    t0 = time.time()
     checks = []
     p, q = 13, 5
     coprime = (p * (p * p - 1)) % q != 0
@@ -216,7 +239,7 @@ def verify_coprime_direct(lmax: int = 2) -> VerificationReport:
             {"order": H.order},
         )
     )
-    return _finish("lemma-5.2", checks, {"instances": len(checks)}, t0)
+    return checks, {"instances": len(checks)}
 
 
 def _count_automorphisms_cyclic(n: int) -> int:
@@ -228,9 +251,9 @@ def _count_automorphisms_cyclic(n: int) -> int:
 # -- commutator/center facts for twisted cyclic groups --------------------------------
 
 
-def verify_twisted_cyclic_facts(lmax: int = 2) -> VerificationReport:
+@_claim("lemma-5.3", "twisted cyclic: H <= X' and H meets Z(X) trivially")
+def verify_twisted_cyclic_facts(lmax: int = 2) -> ClaimEvidence:
     """H <= X' and H meets the center trivially in X = Z_{p^l} : <x>."""
-    t0 = time.time()
     checks = []
     instances = [(5, 1, 4), (5, 1, 2), (7, 1, 3), (3, 2, 8), (5, 2, 24)]
     for p, ell, m in instances:
@@ -254,7 +277,7 @@ def verify_twisted_cyclic_facts(lmax: int = 2) -> VerificationReport:
                 {"|X'|": derived.order, "|Z(X)|": center.order},
             )
         )
-    return _finish("lemma-5.3", checks, {"instances": len(checks)}, t0)
+    return checks, {"instances": len(checks)}
 
 
 # -- Fitting-is-a-2-group catalog ------------------------------------------------------
@@ -270,8 +293,8 @@ def _z2_cubed_by(B: PermGroup) -> PermGroup:
     return semidirect_product(E, B, [m7, m3][: len(B.generators)]).group
 
 
-def verify_fitting_catalog(lmax: int = 2) -> VerificationReport:
-    t0 = time.time()
+@_claim("lemma-5.5", "Fitting-is-a-2-group catalog with index-2 witnesses")
+def verify_fitting_catalog(lmax: int = 2) -> ClaimEvidence:
     checks = []
     # the two {2,7}-type groups
     G1 = _z2_cubed_by(cyclic_group(7))
@@ -310,7 +333,7 @@ def verify_fitting_catalog(lmax: int = 2) -> VerificationReport:
                 ok = ok and found
                 info["index2_witness"] = want if found else "missing"
             checks.append(CheckResult(name, ok, info))
-    return _finish("lemma-5.5", checks, {"instances": len(checks)}, t0)
+    return checks, {"instances": len(checks)}
 
 
 # -- the tables as a constructible catalog ---------------------------------------------
@@ -329,11 +352,11 @@ def _column_shape_models(table: int, col: str):
     return shapes[first](), shapes[second]()
 
 
-def verify_tables_catalog(lmax: int = 2) -> VerificationReport:
+@_claim("lemma-5.6", "tables catalog: symbolic orders and the prime-index property")
+def verify_tables_catalog(lmax: int = 2) -> ClaimEvidence:
     """Symbolic order, the prime-index property, and (at the base level) the
     column invariants: the largest normal 2-subgroup matches the column, and
     so does the largest normal 2-subgroup of the quotient by the 3-core."""
-    t0 = time.time()
     checks = []
     deep = 0
     for table, cases, cols in ((1, TABLE1_CASES, TABLE1_COLUMNS), (2, TABLE2_CASES, TABLE2_COLUMNS)):
@@ -362,16 +385,14 @@ def verify_tables_catalog(lmax: int = 2) -> VerificationReport:
                     checks.append(
                         CheckResult(f"T{table}({case},{col}) ell={ell}", ok, info)
                     )
-    return _finish(
-        "lemma-5.6", checks, {"instances": len(checks), "shape_checked": deep}, t0
-    )
+    return checks, {"instances": len(checks), "shape_checked": deep}
 
 
 # -- the {2,3,7} split -----------------------------------------------------------------
 
 
-def verify_237_split(lmax: int = 2) -> VerificationReport:
-    t0 = time.time()
+@_claim("lemma-5.7", "{2,3,7}-groups split as Z2^3:(Z7:Z3) (instance)")
+def verify_237_split(lmax: int = 2) -> ClaimEvidence:
     checks = []
     G = _z2_cubed_by(frobenius_group(7, 3, 2))
     hyp = satisfies_hypothesis(G)
@@ -391,7 +412,7 @@ def verify_237_split(lmax: int = 2) -> VerificationReport:
             {"complement_order": comp.order},
         )
     )
-    return _finish("lemma-5.7", checks, {"instances": len(checks)}, t0)
+    return checks, {"instances": len(checks)}
 
 
 # -- quotient behavior of generating data ---------------------------------------------
@@ -408,8 +429,8 @@ def _normal_subgroups_small(G: PermGroup) -> list[PermGroup]:
     return [N for N in seen.values() if N.order < G.order]
 
 
-def verify_quotient_behavior(lmax: int = 2) -> VerificationReport:
-    t0 = time.time()
+@_claim("lemma-6.1", "quotients of generating data stay valid or collapse as allowed")
+def verify_quotient_behavior(lmax: int = 2) -> ClaimEvidence:
     checks = []
     corpus: list[tuple[str, PermGroup, GeneratingTriple]] = []
     for family, n in (("C31", 5), ("C33", 2), ("C33", 3), ("C34", 3)):
@@ -442,7 +463,7 @@ def verify_quotient_behavior(lmax: int = 2) -> VerificationReport:
     odd = frobenius_group(7, 3)
     parity_ok = not any(exists(odd, k) for k in ("regular", "reversing", "rotary"))
     checks.append(CheckResult("odd order has no generating data", parity_ok, {"order": odd.order}))
-    return _finish("lemma-6.1", checks, {"quotients_checked": total_quotients}, t0)
+    return checks, {"quotients_checked": total_quotients}
 
 
 # -- no regular triple on GL(2,3) and its central extension ----------------------------
@@ -453,14 +474,14 @@ def z4_circ_gl23() -> PermGroup:
     return _z4_circ(G, next(g for g in G.center().elements if g.order() == 2))
 
 
-def verify_gl23_no_regular(lmax: int = 2) -> VerificationReport:
+@_claim("lemma-6.2", "GL(2,3) and Z4 o GL(2,3) admit no regular triple; census 19")
+def verify_gl23_no_regular(lmax: int = 2) -> ClaimEvidence:
     """No regular triple in GL(2,3) or Z4 o GL(2,3), by exhaustive count.
 
     `examined` is the number of candidates tested plus the raw size of
     every block skipped as conjugate to a rejected one; the claim holds
     when no witness is found and it equals `search_space_size`.
     """
-    t0 = time.time()
     checks = []
     G = gl2_3()
     K = z4_circ_gl23()
@@ -500,13 +521,14 @@ def verify_gl23_no_regular(lmax: int = 2) -> VerificationReport:
             {},
         )
     )
-    return _finish("lemma-6.2", checks, {"search_space": space}, t0)
+    return checks, {"search_space": space}
 
 
 # -- no rotary pair on the inverted abelian groups -------------------------------------
 
 
-def verify_inverted_abelian_no_rotary(lmax: int = 3) -> VerificationReport:
+@_claim("lemma-6.3", "(Z_{3^l} x Z3):Z2 admits no rotary pair; dihedral control does")
+def verify_inverted_abelian_no_rotary(lmax: int = 3) -> ClaimEvidence:
     """No rotary pair on (Z_{3^l} x Z3):Z2, by exhaustive count, with D18 as
     a control that has one.
 
@@ -515,7 +537,6 @@ def verify_inverted_abelian_no_rotary(lmax: int = 3) -> VerificationReport:
     rejected alpha); the claim holds when no witness is found and it
     equals `search_space_size`.
     """
-    t0 = time.time()
     checks = []
     spaces = {}
     for ell in range(1, max(lmax, 3) + 1):
@@ -539,14 +560,14 @@ def verify_inverted_abelian_no_rotary(lmax: int = 3) -> VerificationReport:
             {"witness": found.to_record() if found else None},
         )
     )
-    return _finish("lemma-6.3", checks, {"search_space": spaces}, t0)
+    return checks, {"search_space": spaces}
 
 
 # -- the 2-group triple/pair audit -----------------------------------------------------
 
 
-def verify_two_group_audit(lmax: int = 2) -> VerificationReport:
-    t0 = time.time()
+@_claim("prop-4.2", "2-group catalog: reversing/regular/rotary flags match the lists")
+def verify_two_group_audit(lmax: int = 2) -> ClaimEvidence:
     checks = []
     for ell in range(1, lmax + 1):
         for case in TWO_GROUP_CASES:
@@ -564,7 +585,7 @@ def verify_two_group_audit(lmax: int = 2) -> VerificationReport:
                     {"order": G.order, "got": list(got), "want": list(want)},
                 )
             )
-    return _finish("prop-4.2", checks, {"instances": len(checks)}, t0)
+    return checks, {"instances": len(checks)}
 
 
 # -- solvable decomposition on instances ------------------------------------------------
@@ -643,8 +664,8 @@ def find_decomposition(G: PermGroup) -> Optional[Decomposition]:
     return None
 
 
-def verify_decomposition_instances(lmax: int = 2) -> VerificationReport:
-    t0 = time.time()
+@_claim("theorem-1.1", "solvable decomposition (A:B):K on instances")
+def verify_decomposition_instances(lmax: int = 2) -> ClaimEvidence:
     checks = []
     instances: list[tuple[str, PermGroup]] = [
         ("Z7:Z3", frobenius_group(7, 3)),
@@ -677,7 +698,7 @@ def verify_decomposition_instances(lmax: int = 2) -> VerificationReport:
             and dec.H.order * dec.K.order == G.order
         )
         checks.append(CheckResult(name, ok, dec.to_record()))
-    return _finish("theorem-1.1", checks, {"instances": len(checks)}, t0)
+    return checks, {"instances": len(checks)}
 
 
 # -- the K-group audit -----------------------------------------------------------------
@@ -710,7 +731,8 @@ def _k_groups_rotary(ell: int) -> list[tuple[str, PermGroup]]:
     ]
 
 
-def verify_k_group_audit(lmax: int = 2) -> VerificationReport:
+@_claim("theorem-1.2", "K-group audit: regular/rotary existence and exclusions")
+def verify_k_group_audit(lmax: int = 2) -> ClaimEvidence:
     """Triple/pair existence over the K-group lists of the classification.
 
     The classification lists are necessary conditions, so a listed K either
@@ -728,7 +750,6 @@ def verify_k_group_audit(lmax: int = 2) -> VerificationReport:
     candidates tested plus the raw size of every skipped conjugate block,
     and equals `search_space_size`.
     """
-    t0 = time.time()
     checks = []
     realized: list[str] = []
     unrealizable: list[dict] = []
@@ -778,7 +799,7 @@ def verify_k_group_audit(lmax: int = 2) -> VerificationReport:
         "regular_realized": realized,
         "regular_unrealizable": unrealizable,
     }
-    return _finish("theorem-1.2", checks, certificate, t0)
+    return checks, certificate
 
 
 def _regular_obstruction(G: PermGroup) -> Optional[dict]:
@@ -806,68 +827,19 @@ def _regular_obstruction(G: PermGroup) -> Optional[dict]:
     return None
 
 
-# -- registry ---------------------------------------------------------------------------
-
-CLAIMS: dict[str, tuple[str, Callable[[int], VerificationReport]]] = {
-    "families": (
-        "map families: triples valid, characteristic laws, underlying graphs",
-        verify_families,
-    ),
-    "lemma-5.1": (
-        "odd order: the largest-prime Sylow subgroup is normal (instances)",
-        verify_largest_prime_normal,
-    ),
-    "lemma-5.2": (
-        "coprime {p,q}-groups are direct products (instances and control)",
-        verify_coprime_direct,
-    ),
-    "lemma-5.3": (
-        "twisted cyclic: H <= X' and H meets Z(X) trivially",
-        verify_twisted_cyclic_facts,
-    ),
-    "lemma-5.5": (
-        "Fitting-is-a-2-group catalog with index-2 witnesses",
-        verify_fitting_catalog,
-    ),
-    "lemma-5.6": (
-        "tables catalog: symbolic orders and the prime-index property",
-        verify_tables_catalog,
-    ),
-    "lemma-5.7": (
-        "{2,3,7}-groups split as Z2^3:(Z7:Z3) (instance)",
-        verify_237_split,
-    ),
-    "lemma-6.1": (
-        "quotients of generating data stay valid or collapse as allowed",
-        verify_quotient_behavior,
-    ),
-    "lemma-6.2": (
-        "GL(2,3) and Z4 o GL(2,3) admit no regular triple; census 19",
-        verify_gl23_no_regular,
-    ),
-    "lemma-6.3": (
-        "(Z_{3^l} x Z3):Z2 admits no rotary pair; dihedral control does",
-        verify_inverted_abelian_no_rotary,
-    ),
-    "prop-4.2": (
-        "2-group catalog: reversing/regular/rotary flags match the lists",
-        verify_two_group_audit,
-    ),
-    "theorem-1.1": (
-        "solvable decomposition (A:B):K on instances",
-        verify_decomposition_instances,
-    ),
-    "theorem-1.2": (
-        "K-group audit: regular/rotary existence and exclusions",
-        verify_k_group_audit,
-    ),
-}
+# -- running claims ------------------------------------------------------------------
 
 ALIASES = {
     "thm-1.1": "theorem-1.1",
     "thm-1.2": "theorem-1.2",
     "decomposition": "theorem-1.1",
 }
+
+
+def run_claim(cid: str, lmax: int) -> VerificationReport:
+    """Run the claim registered as `cid`.  The entry is read at call time, so
+    a runner replaced in `CLAIMS` (to time each claim, say) is the one run."""
+    return CLAIMS[cid][1](lmax)
 
 
 def run_claims(selector: str, lmax: int = 2, workers: int = 1) -> list[VerificationReport]:
@@ -880,16 +852,11 @@ def run_claims(selector: str, lmax: int = 2, workers: int = 1) -> list[Verificat
         key = ALIASES.get(selector, selector)
         if key not in CLAIMS:
             raise KeyError(selector)
-        return [CLAIMS[key][1](lmax)]
+        return [run_claim(key, lmax)]
     ids = list(CLAIMS)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_claim_task, [(cid, lmax) for cid in ids]))
-    return [CLAIMS[cid][1](lmax) for cid in ids]
-
-
-def _claim_task(args: tuple[str, int]) -> VerificationReport:
-    cid, lmax = args
-    return CLAIMS[cid][1](lmax)
+            return list(pool.map(run_claim, ids, [lmax] * len(ids)))
+    return [run_claim(cid, lmax) for cid in ids]

@@ -118,21 +118,26 @@ def test_analyze_s4(tmp_path, capsys):
     assert "regular triple:" in out and "regular triple: none" not in out
 
 
-@pytest.mark.parametrize(
-    "name, build",
-    [
-        ("gl2_3", gl2_3),
-        ("z4_circ_gl23", z4_circ_gl23),
-        ("table1_1.5_ell1", lambda: build_table_group(1, "1.5", "Z2^2", 1)),
-    ],
-)
-def test_analyze_text_matches_recorded_output(tmp_path, capsys, name, build):
-    G = build()
-    path = tmp_path / "group.gens"
-    path.write_text(format_generator_file(G.degree, G.generators))
+# the builders of the recorded analyze inputs, `tests/data/<name>.gens`
+RECORDED_INPUTS = {
+    "gl2_3": gl2_3,
+    "z4_circ_gl23": z4_circ_gl23,
+    "table1_1.5_ell1": lambda: build_table_group(1, "1.5", "Z2^2", 1),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_INPUTS)
+def test_analyze_text_matches_recorded_output(capsys, name):
+    path = DATA / f"{name}.gens"
     code, out, _ = run(capsys, "analyze", str(path))
     assert code == 0
     assert out.replace(str(path), "group.gens") == (DATA / f"analyze_{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", RECORDED_INPUTS)
+def test_builders_still_give_the_recorded_inputs(name):
+    G = RECORDED_INPUTS[name]()
+    assert format_generator_file(G.degree, G.generators) == (DATA / f"{name}.gens").read_text()
 
 
 def test_analyze_z4xz4(tmp_path, capsys):
@@ -238,6 +243,18 @@ def test_workers_output_matches_sequential(capsys):
     _, seq, _ = run(capsys, "family", "C31", "--odd", "5..11")
     _, par, _ = run(capsys, "family", "C31", "--odd", "5..11", "--workers", "2")
     assert seq == par
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "C31", "--odd", "5..7", "--cap", "10"],
+        ["family", "C31", "--odd", "5..7", "--cap", "10", "--workers", "2"],
+        ["map", "C31", "5", "--cap", "10"],
+    ],
+)
+def test_cap_overflow_is_a_usage_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: group too large for desk-scale enumeration (cap 10)\n")
 
 
 def test_analyze_respects_cap(tmp_path, capsys):
