@@ -289,14 +289,30 @@ def _klein_auts(rank: int) -> tuple[PermGroup, list, list]:
     return F, sigma3, tau
 
 
-def _quaternion_auts() -> tuple[PermGroup, list, list]:
-    """Q_8 with the 3-cycle i -> j -> k and the involutory i <-> -j swap."""
-    Q = quaternion_group(8)
-    u, v = Q.generators
+def _quaternion_maps(u: Permutation, v: Permutation) -> tuple[list, list]:
+    """Images of i = u, j = v under the 3-cycle i -> j -> k and the i <-> -j swap."""
     minus1 = u * u
     sigma3 = [v, u * v]
     tau = [minus1 * v, minus1 * u]  # i -> -j, j -> -i (and then k -> -k)
-    return Q, sigma3, tau
+    return sigma3, tau
+
+
+def _quaternion_auts() -> tuple[PermGroup, list, list]:
+    """Q_8 with the 3-cycle i -> j -> k and the involutory i <-> -j swap."""
+    Q = quaternion_group(8)
+    return (Q, *_quaternion_maps(*Q.generators))
+
+
+def _z4_circ_quaternion_auts() -> tuple[PermGroup, list, list]:
+    """Z_4 o Q_8 (regular, degree 16) with the Q_8 maps on its Q_8 generators.
+
+    Its generators are z, u, v: z of order 4 with z^2 = u^2 = -1.  Both maps
+    fix z, which is central.
+    """
+    Z4, Q = cyclic_group(4), quaternion_group(8)
+    C = central_product(Z4, Q, [(Z4.generators[0] ** 2, Q.generators[0] ** 2)])
+    z, sigma3, tau = C.left_gens[0], *_quaternion_maps(*C.right_gens)
+    return C.group, [z, *sigma3], [z, *tau]
 
 
 # -- Tables 1 and 2 -------------------------------------------------------------------
@@ -355,17 +371,6 @@ def _semidirect_by_roles(F: PermGroup, sigma3: list, tau: list, B: PermGroup, ro
     return semidirect_product(F, B, action)
 
 
-def _z4_circ(model_group: PermGroup, minus1: Permutation) -> PermGroup:
-    """Z_4 o G identifying the Z_4 square with the given central involution."""
-    Z4 = cyclic_group(4)
-    return central_product(Z4, model_group, [(Z4.generators[0] ** 2, minus1)]).group
-
-
-def _z3l_z4(ell: int) -> ProductModel:
-    A = cyclic_group(3**ell)
-    return semidirect_product(A, cyclic_group(4), [[A.generators[0].inverse()]])
-
-
 def build_table_group(table: int, case: str, column: str, ell: int) -> PermGroup:
     """A Tables 1-2 entry as a permutation model; order checked symbolically."""
     if table == 1:
@@ -407,15 +412,32 @@ def expected_table_order(table: int, case: str, column: str, ell: int) -> int:
 
 
 def _table1_entry(B: PermGroup, roles: list[str], column: str) -> PermGroup:
-    """F:B for F the column's 2-group (Z4 o (Q8:B) for Z4oQ8), B acting by roles."""
+    """F:B for F the column's 2-group, B acting by roles, of degree |F| + deg(B).
+
+    For Z4oQ8 the order-3 rotation and the swap act on the Q8 generators
+    and fix the Z4 generator, so the entry Z4 o (Q8:B) is built as
+    (Z4oQ8):B, with no quotient.
+    """
     if column in ("Z2^2", "Z2^3"):
         F, sigma3, tau = _klein_auts(2 if column == "Z2^2" else 3)
-        return _semidirect_by_roles(F, sigma3, tau, B, roles).group
-    Q, sigma3, tau = _quaternion_auts()
-    model = _semidirect_by_roles(Q, sigma3, tau, B, roles)
-    if column == "Q8":
-        return model.group
-    return _z4_circ(model.group, model.left_gens[0] ** 2)
+    elif column == "Q8":
+        F, sigma3, tau = _quaternion_auts()
+    else:
+        F, sigma3, tau = _z4_circ_quaternion_auts()
+    return _semidirect_by_roles(F, sigma3, tau, B, roles).group
+
+
+def _z3m_by_z4_circ_q8(m: int, K: PermGroup, roles: list[str]) -> PermGroup:
+    """Z_{3^m} : ((Z4oQ8):K), a Table 2 entry of the Q8,Z4oQ8 column.
+
+    The Z4 generator, the first of (Z4oQ8):K, inverts Z_{3^m} and every
+    other generator centralizes it, so this is (Z_{3^m}:Z4) o (Q8:K) built
+    with no quotient.
+    """
+    H = _table1_entry(K, roles, "Z4oQ8")
+    A = cyclic_group(3**m)
+    a = A.generators[0]
+    return semidirect_product(A, H, [[a.inverse()]] + [[a]] * (len(H.generators) - 1)).group
 
 
 def _build_table_entry(table: int, case: str, column: str, ell: int) -> PermGroup:
@@ -428,23 +450,13 @@ def _build_table_entry(table: int, case: str, column: str, ell: int) -> PermGrou
     if case == "2.1":
         if first:
             return direct_product(dihedral_group(3**ell), alternating_group(4)).group
-        A = _z3l_z4(ell)
-        Q, sigma3, _ = _quaternion_auts()
-        Bm = semidirect_product(Q, cyclic_group(3), [sigma3])
-        return central_product(
-            A.group, Bm.group, [(A.right_gens[0] ** 2, Bm.left_gens[0] ** 2)]
-        ).group
+        return _z3m_by_z4_circ_q8(ell, cyclic_group(3), ["r3"])
     if case == "2.2":
         if first:
             F, sigma3, _ = _klein_auts(2)
             left = semidirect_product(F, cyclic_group(3**ell), [sigma3]).group
             return direct_product(left, dihedral_group(3)).group
-        Q, sigma3, _ = _quaternion_auts()
-        Am = semidirect_product(Q, cyclic_group(3**ell), [sigma3])
-        B = _z3l_z4(1).group
-        return central_product(
-            Am.group, B, [(Am.left_gens[0] ** 2, B.generators[-1] ** 2)]
-        ).group
+        return _z3m_by_z4_circ_q8(1, cyclic_group(3**ell), ["r3"])
     if case == "2.3":
         twist = 3 ** (ell - 1) + 1
         if first:
@@ -455,7 +467,8 @@ def _build_table_entry(table: int, case: str, column: str, ell: int) -> PermGrou
             # modular twist on the dihedral rotation, 3-cycle on the Klein part
             action = [[rot**twist, refl, e2, e1 * e2]]
             return semidirect_product(A, cyclic_group(3), action).group
-        Am = _z3l_z4(ell)
+        A = cyclic_group(3**ell)
+        Am = semidirect_product(A, cyclic_group(4), [[A.generators[0].inverse()]])
         Q, _, _ = _quaternion_auts()
         C = central_product(
             Am.group, Q, [(Am.right_gens[0] ** 2, Q.generators[0] ** 2)],
@@ -468,23 +481,13 @@ def _build_table_entry(table: int, case: str, column: str, ell: int) -> PermGrou
     if case == "2.4":
         if first:
             return direct_product(dihedral_group(3**ell), symmetric_group(4)).group
-        A = _z3l_z4(ell)
-        Q, sigma3, tau = _quaternion_auts()
-        Bm = _semidirect_by_roles(Q, sigma3, tau, dihedral_group(3), ["r3", "inv"])
-        return central_product(
-            A.group, Bm.group, [(A.right_gens[0] ** 2, Bm.left_gens[0] ** 2)]
-        ).group
+        return _z3m_by_z4_circ_q8(ell, dihedral_group(3), ["r3", "inv"])
     if case == "2.5":
         if first:
             F, sigma3, tau = _klein_auts(2)
             left = _semidirect_by_roles(F, sigma3, tau, dihedral_group(3**ell), ["r3", "inv"]).group
             return direct_product(left, dihedral_group(3)).group
-        Q, sigma3, tau = _quaternion_auts()
-        Am = _semidirect_by_roles(Q, sigma3, tau, dihedral_group(3**ell), ["r3", "inv"])
-        B = _z3l_z4(1).group
-        return central_product(
-            Am.group, B, [(Am.left_gens[0] ** 2, B.generators[-1] ** 2)]
-        ).group
+        return _z3m_by_z4_circ_q8(1, dihedral_group(3**ell), ["r3", "inv"])
     raise FamilyParameterError(f"unknown Table 2 case {case!r}")
 
 

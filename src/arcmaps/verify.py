@@ -22,7 +22,6 @@ from .families import (
     TABLE2_COLUMNS,
     TWO_GROUP_CASES,
     _table1_entry,
-    _z4_circ,
     build_family,
     build_table_group,
     build_two_group,
@@ -39,7 +38,7 @@ from .maps import (
     is_multicycle,
     underlying_graph,
 )
-from .products import direct_product, semidirect_product
+from .products import central_product, direct_product, semidirect_product
 from .standard import (
     alternating_group,
     cyclic_group,
@@ -470,8 +469,10 @@ def verify_quotient_behavior(lmax: int = 2) -> ClaimEvidence:
 
 
 def z4_circ_gl23() -> PermGroup:
-    G = gl2_3()
-    return _z4_circ(G, next(g for g in G.center().elements if g.order() == 2))
+    """Z_4 o GL(2,3), the Z_4 square identified with GL(2,3)'s central involution."""
+    G, Z4 = gl2_3(), cyclic_group(4)
+    minus1 = next(g for g in G.center().elements if g.order() == 2)
+    return central_product(Z4, G, [(Z4.generators[0] ** 2, minus1)]).group
 
 
 @_claim("lemma-6.2", "GL(2,3) and Z4 o GL(2,3) admit no regular triple; census 19")

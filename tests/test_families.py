@@ -21,9 +21,10 @@ from arcmaps.families import (
     wreath_square,
     _klein_auts,
     _quaternion_auts,
+    _table1_acting_group,
     _table1_entry,
 )
-from arcmaps.groups import generate
+from arcmaps.groups import extend_hom, generate
 from arcmaps.perms import Permutation
 from arcmaps.products import central_product, direct_product, semidirect_product
 from arcmaps.standard import (
@@ -33,6 +34,7 @@ from arcmaps.standard import (
     elementary_abelian,
     frobenius_group,
     gl2_3,
+    quaternion_group,
     sl2_3,
     symmetric_group,
 )
@@ -162,6 +164,7 @@ def test_table1_known_entries():
     assert isomorphic(gl, gl2_3())
     zgl = build_table_group(1, "1.1", "Z4oQ8", 1)
     assert zgl.order == 96
+    assert isomorphic(zgl, z4_circ_gl23())
 
 
 def test_table2_known_entries():
@@ -236,17 +239,26 @@ def _ref_z4_circ(G, minus1):
     return central_product(Z4, G, [(Z4.generators[0] ** 2, minus1)]).group
 
 
+def _ref_z4_circ_q8():
+    """Z4 o Q8 on its 16 elements with the maps i -> j -> k and i <-> -j on
+    its Q8 generators, both fixing its Z4 generator."""
+    Z4, Q = cyclic_group(4), quaternion_group(8)
+    C = central_product(Z4, Q, [(Z4.generators[0] ** 2, Q.generators[0] ** 2)])
+    (z,), (u, v) = C.left_gens, C.right_gens
+    minus1 = u * u
+    return C.group, [z, v, u * v], [z, minus1 * v, minus1 * u]
+
+
 def _ref_f_colon_group(column, with_s3):
     acting = dihedral_group(3) if with_s3 else cyclic_group(3)
     roles = ["r3", "inv"] if with_s3 else ["r3"]
     if column in ("Z2^2", "Z2^3"):
         F, s3, tau = _klein_auts(2 if column == "Z2^2" else 3)
-    else:
+    elif column == "Q8":
         F, s3, tau = _quaternion_auts()
-    model = semidirect_product(F, acting, [s3 if r == "r3" else tau for r in roles])
-    if column == "Z4oQ8":
-        return _ref_z4_circ(model.group, model.left_gens[0] ** 2)
-    return model.group
+    else:
+        F, s3, tau = _ref_z4_circ_q8()
+    return semidirect_product(F, acting, [s3 if r == "r3" else tau for r in roles]).group
 
 
 def _ref_z2_cubed(B):
@@ -260,12 +272,11 @@ def _ref_z2_cubed(B):
 def _ref_k_groups_rotary(ell):
     F, s3, _ = _klein_auts(2)
     k1 = semidirect_product(F, cyclic_group(3**ell), [s3]).group
-    Q, sq, _ = _quaternion_auts()
-    qm = semidirect_product(Q, cyclic_group(3**ell), [sq])
+    Z4oQ8, sq, _ = _ref_z4_circ_q8()
     return [
         (f"Z2^2:Z{3 ** ell}", k1),
         (f"Z2x(Z2^2:Z{3 ** ell})", direct_product(cyclic_group(2), k1).group),
-        (f"Z4o(Q8:Z{3 ** ell})", _ref_z4_circ(qm.group, qm.left_gens[0] ** 2)),
+        (f"Z4o(Q8:Z{3 ** ell})", semidirect_product(Z4oQ8, cyclic_group(3**ell), [sq]).group),
         (f"Z2^3:Z{7 ** ell}", _ref_z2_cubed(cyclic_group(7**ell))),
     ]
 
@@ -296,3 +307,48 @@ def test_shared_builders_match_parent_constructions():
         assert [name for name, _ in got] == [name for name, _ in want]
         for (name, G), (_, H) in zip(got, want):
             assert _same_realization(G, H), (name, ell)
+
+
+# -- the Z4oQ8 entries against the central products they replace -------------------
+
+CENTRAL_PRODUCT_ENTRIES = [(1, case) for case in ("1.1", "1.2", "1.3", "1.4", "1.5", "1.6")] + [
+    (2, case) for case in ("2.1", "2.2", "2.4", "2.5")
+]
+
+
+def ref_central_entry(table, case, **kwargs):
+    """A Z4oQ8 entry at ell = 1 as a central product, the construction the
+    semidirect builders replace: Z4 o (Q8:B) for Table 1 and (Z3:Z4) o (Q8:K)
+    for Table 2, the factors in the order each case took them.  kwargs go to
+    `central_product`.  Returns the group and its generators in the order of
+    the semidirect entry's: (Z3,) Z4, Q8, then B or K."""
+    Q, s3, tau = _quaternion_auts()
+    if table == 1:
+        B, roles = _table1_acting_group(case, 1)
+        action = [{"r3": s3, "inv": tau}.get(r, list(Q.generators)) for r in roles]
+        qb = semidirect_product(Q, B, action)
+        Z4 = cyclic_group(4)
+        pair = [(Z4.generators[0] ** 2, qb.left_gens[0] ** 2)]
+        H = central_product(Z4, qb.group, pair, **kwargs).group
+        return H, H.generators
+    Z3 = cyclic_group(3)
+    z3z4 = semidirect_product(Z3, cyclic_group(4), [[Z3.generators[0].inverse()]])
+    K = dihedral_group(3) if case in ("2.4", "2.5") else cyclic_group(3)
+    qk = semidirect_product(Q, K, [s3, tau][: len(K.generators)])
+    z, minus1 = z3z4.right_gens[0] ** 2, qk.left_gens[0] ** 2
+    if case in ("2.1", "2.4"):
+        H = central_product(z3z4.group, qk.group, [(z, minus1)], **kwargs).group
+        return H, H.generators
+    H = central_product(qk.group, z3z4.group, [(minus1, z)], **kwargs).group
+    return H, H.generators[-2:] + H.generators[:-2]
+
+
+@pytest.mark.parametrize("table,case", CENTRAL_PRODUCT_ENTRIES)
+def test_z4oq8_entries_are_the_central_products_they_replace(table, case):
+    """Matching the generators in order is an isomorphism onto the central
+    product, so the smaller semidirect model is the same group."""
+    G = build_table_group(table, case, "Z4oQ8" if table == 1 else "Q8,Z4oQ8", 1)
+    H, images = ref_central_entry(table, case)
+    assert G.order == H.order and G.degree < H.degree
+    phi = extend_hom(G, G.generators, images)
+    assert phi is not None and len(set(phi.values())) == G.order

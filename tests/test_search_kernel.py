@@ -17,7 +17,8 @@ sympy's normal closure.  `core_within` and `normalizer` are compared with
 the Permutation-product loops they replace, `is_normal` and `center` with
 sympy, and the conjugation tables with `**`.  The compression search of
 `faithful_coset_actions` is compared with the subgroup search it replaces
-on the uncompressed central products of Tables 1-2 and on the corpus.
+on the uncompressed central products that Tables 1-2 were built from and
+on the corpus.
 """
 
 import itertools
@@ -27,6 +28,7 @@ import pytest
 import sympy.combinatorics as sympy_pg
 from hypothesis import given, settings, strategies as st
 
+from test_families import CENTRAL_PRODUCT_ENTRIES, ref_central_entry
 from test_properties import random_groups
 
 from arcmaps.families import (
@@ -38,7 +40,7 @@ from arcmaps.families import (
     build_table_group,
     table_min_ell,
 )
-from arcmaps import families, groups, products, triples
+from arcmaps import groups, products, triples
 from arcmaps.groups import GroupTooLargeError, PermGroup, core_within, extend_hom, group_from_elements
 from arcmaps.perms import Permutation
 from arcmaps.standard import (
@@ -686,22 +688,14 @@ def ref_faithful_coset_actions(G):
 
 @pytest.fixture(scope="module")
 def central_quotients():
-    """The uncompressed quotient of every central product that the Table 1-2
-    builders at ell = 1 and `z4_circ_gl23` form, Z4 o GL(2,3)'s first."""
-    quotients = []
-
-    def record(*args, **kwargs):
-        quotients.append(products.central_product(*args, **kwargs, compress_result=False).group)
-        return products.central_product(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(families, "central_product", record)
-        z4_circ_gl23()
-        for table, cases, cols in ((1, TABLE1_CASES, TABLE1_COLUMNS), (2, TABLE2_CASES, TABLE2_COLUMNS)):
-            for case in cases:
-                if table_min_ell(table, case) == 1:
-                    for col in cols:
-                        build_table_group(table, case, col, 1)
+    """The uncompressed quotient of Z4 o GL(2,3) and of the ten central
+    products that Tables 1-2 built at ell = 1 before their Z4oQ8 entries
+    became semidirect products, Z4 o GL(2,3)'s first."""
+    gl, Z4 = gl2_3(), cyclic_group(4)
+    minus1 = next(g for g in gl.center().elements if g.order() == 2)
+    quotients = [products.central_product(Z4, gl, [(Z4.generators[0] ** 2, minus1)], compress_result=False).group]
+    for table, case in CENTRAL_PRODUCT_ENTRIES:
+        quotients.append(ref_central_entry(table, case, compress_result=False)[0])
     return quotients
 
 

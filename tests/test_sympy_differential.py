@@ -7,8 +7,8 @@ and C34 groups at n = 3 and 5, GL(2,3) and Z4oGL(2,3), both sides must
 agree on the order, the prime divisors, the centre order and the orders of
 the derived series.  `sylow(G, p)` is checked by letting sympy close its
 generators: the closure must have order |G|_p.  (sympy's own
-`sylow_subgroup(2)` takes 10-60 s on the Z4oQ8 entries of degree 84-120,
-so it is not called.)
+`sylow_subgroup(2)` takes 27 s or more on the two case 2.3 entries, of
+degree 75 and 147, so it is not called.)
 """
 
 import pytest

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from arcmaps import structure, verify
+from arcmaps.cli import main
 from arcmaps.groups import intersection
 from arcmaps.products import direct_product
 from arcmaps.standard import (
@@ -37,6 +38,14 @@ def test_registry_runs_every_claim_at_lmax_1():
     # the records `arcmaps verify all --lmax 1 --format records` prints
     got = [json.dumps(rep.to_record(), sort_keys=True) for rep in reports]
     assert got == (DATA / "verify_all_lmax1.jsonl").read_text().splitlines()
+
+
+def test_lemma_5_6_records_at_lmax_2(capsys):
+    """The ell = 2 Tables 1-2 entries (1.7, 2.3 and the order-864 ones) that
+    the lmax 1 records never reach, as `verify lemma-5.6 --lmax 2 --format
+    records` prints them."""
+    assert main(["verify", "lemma-5.6", "--lmax", "2", "--format", "records"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_lemma-5.6_lmax2.jsonl").read_text()
 
 
 def test_unknown_claim_raises():
