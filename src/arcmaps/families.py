@@ -1,9 +1,12 @@
 """Parametric builders for the group families behind the map constructions.
 
-Everything grows out of the wreath square W(n) = (D_2n x D_2n) : Z_2, the
-`products.wreath_by_s2` of D_2n: two n-gon blocks with the outer involution
-swapping them.  The three map families C31, C33, C34 pick subgroups of W(n)
-together with a verified regular triple; the 2-group and odd-p catalogs and
+The map families grow out of the wreath square W(n) = (D_2n x D_2n) : Z_2,
+the `products.wreath_by_s2` of D_2n: two n-gon blocks with the outer
+involution swapping them.  The three map families C31, C33, C34 pick
+subgroups of W(n) together with a verified regular triple.  W(n) itself is
+closed only for C34, which is all of it; C31 and C33 close just their own
+index-2 subgroup, and the element completing it to W(n) certifies
+|W(n)| = 8 n^2 without a closure.  The 2-group and odd-p catalogs and
 the two case tables are assembled from the product constructors.  Each
 catalog group is built here once, and `verify` reuses these builders, so a
 group's generators, degree and element order are decided in one place.
@@ -21,6 +24,7 @@ from .maps import euler_characteristic_closed
 from .perms import Permutation
 from .products import (
     ProductModel,
+    WreathModel,
     central_product,
     direct_product,
     semidirect_product,
@@ -58,17 +62,30 @@ class FamilyInstance:
     names: dict
 
 
+def _wreath_model(n: int, cap: int) -> tuple[WreathModel, dict]:
+    """W(n) as a `WreathModel`, still unclosed, and its named elements."""
+    if n < 2:
+        raise FamilyParameterError("wreath square needs n >= 2")
+    W = wreath_by_s2(dihedral_group(n), cap=cap)
+    (a, s), (b, t) = W.first_gens, W.second_gens
+    return W, {"a": a, "s": s, "b": b, "t": t, "sigma": W.swap}
+
+
 def wreath_square(n: int, cap: int = DEFAULT_CAP) -> tuple[PermGroup, dict]:
     """(D_2n x D_2n) : Z_2 of order 8 n^2 with named elements a, s, b, t, sigma.
 
     The `wreath_by_s2` of D_2n: a, s rotate/reflect the first block, b, t
     the second, and sigma swaps the blocks, so (a, s) ** sigma == (b, t).
     """
-    if n < 2:
-        raise FamilyParameterError("wreath square needs n >= 2")
-    W = wreath_by_s2(dihedral_group(n), cap=cap)
-    (a, s), (b, t) = W.first_gens, W.second_gens
-    return W.group, {"a": a, "s": s, "b": b, "t": t, "sigma": W.swap}
+    W, names = _wreath_model(n, cap)
+    return W.group, names
+
+
+def _check_index_two(G: PermGroup, c: Permutation, label: str) -> None:
+    """Assert |<G, c>| = 2 |G|: c lies outside G, squares into G and
+    normalizes G, so <G, c> is the union of G and Gc."""
+    if c in G or c * c not in G or any(g ** c not in G for g in G.generators):
+        raise AssertionError(f"{label}: G does not have index 2 in <G, {c.cycle_string()}>")
 
 
 def check_family_parameter(family: str, n: int) -> Optional[str]:
@@ -88,22 +105,28 @@ def build_family(family: str, n: int, cap: int = DEFAULT_CAP) -> FamilyInstance:
     msg = check_family_parameter(family, n)
     if msg:
         raise FamilyParameterError(msg)
-    X, nm = wreath_square(n, cap=cap)
+    W, nm = _wreath_model(n, cap)
     a, s, b, t, sigma = nm["a"], nm["s"], nm["b"], nm["t"], nm["sigma"]
+    # C31 and C33 have index 2 in W(n): each with its completing element
+    # generates W(n), so their index-2 check certifies |W(n)| = 8 n^2, and
+    # only C34, which is W(n), closes it.
     if family == "C31":
-        G = generate(X.degree, [a, s, b, t], cap=cap)
+        G = generate(sigma.degree, [a, s, b, t], cap=cap)
         x, y, z = s, a * b * s * t, s * t
-        expected = 4 * n * n
+        completing = sigma
     elif family == "C33":
-        G = generate(X.degree, [a, b, s * t, sigma], cap=cap)
+        G = generate(sigma.degree, [a, b, s * t, sigma], cap=cap)
         x, y, z = sigma, a * s * t, a * b * s * t
-        expected = 4 * n * n
+        completing = s
     else:  # C34
-        G = X
+        G = W.group
         x, y, z = sigma, s, a * b * s * t
-        expected = 8 * n * n
+        completing = None
+    expected = 8 * n * n if completing is None else 4 * n * n
     if G.order != expected:
         raise AssertionError(f"{family}({n}) order {G.order} != {expected}")
+    if completing is not None:
+        _check_index_two(G, completing, f"{family}({n})")
     if not check_triple(G, (x, y, z), "regular"):
         raise AssertionError(f"{family}({n}) triple failed validation")
     triple = GeneratingTriple("regular", (x, y, z), G)

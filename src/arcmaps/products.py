@@ -20,6 +20,7 @@ closed only for each coset space chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Callable, Optional, Sequence
 
@@ -163,23 +164,33 @@ def central_product(
 
 
 def wreath_by_s2(A: PermGroup, cap: int = DEFAULT_CAP) -> "WreathModel":
-    """A wr S2: two disjoint copies of A swapped by an outer involution."""
+    """A wr S2: two disjoint copies of A swapped by an outer involution.
+
+    The named generators come back at once; the group, of order 2 |A|^2, is
+    closed (under `cap`) only when `group` is first read.
+    """
     d = A.degree
-    first = [_pad(g, 0, d) for g in A.generators]
-    second = [_pad(g, d, 0) for g in A.generators]
+    first = tuple(_pad(g, 0, d) for g in A.generators)
+    second = tuple(_pad(g, d, 0) for g in A.generators)
     swap = Permutation._make(tuple((x + d) % (2 * d) for x in range(2 * d)))
-    G = PermGroup(2 * d, first + second + [swap], cap=cap)
-    if G.order != 2 * A.order * A.order:
-        raise AssertionError("wreath product order mismatch")
-    return WreathModel(G, tuple(first), tuple(second), swap)
+    return WreathModel(first, second, swap, A.order, cap)
 
 
 @dataclass(frozen=True)
 class WreathModel:
-    group: PermGroup
     first_gens: tuple[Permutation, ...]
     second_gens: tuple[Permutation, ...]
     swap: Permutation
+    base_order: int
+    cap: int
+
+    @cached_property
+    def group(self) -> PermGroup:
+        gens = [*self.first_gens, *self.second_gens, self.swap]
+        G = PermGroup(self.swap.degree, gens, cap=self.cap)
+        if G.order != 2 * self.base_order**2:
+            raise AssertionError("wreath product order mismatch")
+        return G
 
 
 def faithful_coset_actions(G: PermGroup) -> Optional[Callable[[Permutation], Permutation]]:

@@ -257,6 +257,42 @@ def test_cap_overflow_is_a_usage_error(capsys, argv):
     assert run(capsys, *argv) == (2, "", "error: group too large for desk-scale enumeration (cap 10)\n")
 
 
+@pytest.mark.parametrize(
+    "argv,cap",
+    [(["map", "C31", "7"], "300"), (["family", "C33", "--range", "6..7"], "200")],
+)
+def test_cap_bounds_the_family_group_not_the_wreath_square(capsys, argv, cap):
+    # C31(7) has order 196 and C33(6), C33(7) 144 and 196, inside W(n) of
+    # order 392 at n = 7: only the family's own group is closed.
+    code, uncapped, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--cap", cap) == (0, uncapped, "")
+
+
+def test_cap_still_bounds_c34_which_is_the_wreath_square(capsys):
+    assert run(capsys, "map", "C34", "7", "--cap", "300") == (
+        2,
+        "",
+        "error: group too large for desk-scale enumeration (cap 300)\n",
+    )
+
+
+# family tables and a map, recorded byte for byte in `tests/data`
+RECORDED_FAMILY_RUNS = {
+    "family_C31_odd_5-29.txt": ["family", "C31", "--odd", "5..29"],
+    "family_C33_range_2-24.txt": ["family", "C33", "--range", "2..24"],
+    "family_C34_odd_3-23_records.jsonl": ["family", "C34", "--odd", "3..23", "--format", "records"],
+    "map_C34_23_dot.txt": ["map", "C34", "23", "--dot"],
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_FAMILY_RUNS)
+def test_family_runs_match_recorded_output(capsys, name):
+    code, out, _ = run(capsys, *RECORDED_FAMILY_RUNS[name])
+    assert code == 0
+    assert out == (DATA / name).read_text()
+
+
 def test_analyze_respects_cap(tmp_path, capsys):
     path = tmp_path / "s4.gens"
     path.write_text("degree 4\n(0 1)\n(0 1 2 3)\n")

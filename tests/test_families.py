@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from arcmaps import families, groups
 from arcmaps.families import (
     FamilyParameterError,
     TABLE1_CASES,
@@ -122,6 +125,47 @@ def test_family_tables_match_published_rows(family, table):
     got = [(r.n, r.chi, r.factorization, r.squarefree) for r in rows]
     want = [(n, chi, dots, True) for n, chi, dots in table]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "family,n", [("C31", 5), ("C31", 7), ("C33", 2), ("C33", 4), ("C34", 3), ("C34", 5)]
+)
+def test_build_family_closes_no_group_above_its_own(monkeypatch, family, n):
+    """C31 and C33 close their order-4n^2 group and never W(n); C34 is W(n)."""
+    sizes = []
+    close = groups._close
+
+    def counted(degree, gen_images, cap):
+        elems = close(degree, gen_images, cap)
+        sizes.append(len(elems))
+        return elems
+
+    monkeypatch.setattr(groups, "_close", counted)
+    inst = build_family(family, n)
+    assert max(sizes) == inst.group.order == (8 if family == "C34" else 4) * n * n
+
+
+@pytest.mark.parametrize("swap", ["identity", "a", "transposition", "doubling"])
+def test_index_two_check_rejects_a_wrong_completing_element(monkeypatch, swap):
+    """sigma completes C31(7) to W(7).  The identity and a lie inside C31(7);
+    a transposition of two points lies outside but does not normalize it;
+    x -> 2x on the first 7-gon normalizes it, but its square x -> 4x lies
+    outside it."""
+    wreath_by_s2 = families.wreath_by_s2
+
+    def patched(A, cap):
+        W = wreath_by_s2(A, cap=cap)
+        c = {
+            "identity": W.swap * W.swap,
+            "a": W.first_gens[0],
+            "transposition": Permutation.from_cycles(14, [(0, 1)]),
+            "doubling": Permutation(tuple(2 * x % 7 for x in range(7)) + tuple(range(7, 14))),
+        }[swap]
+        return dataclasses.replace(W, swap=c)
+
+    monkeypatch.setattr(families, "wreath_by_s2", patched)
+    with pytest.raises(AssertionError, match="index 2"):
+        build_family("C31", 7)
 
 
 def test_two_group_catalog_tags():
